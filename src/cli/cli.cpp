@@ -473,8 +473,14 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
                          plan.value().pes.size(), fused_passes, max_chain);
   const dataflow::RunStats& run_stats =
       pool.value().instance(0).last_run_stats();
-  out << strings::format("KPN: %zu modules, %zu streams\n", run_stats.modules,
-                         run_stats.streams);
+  std::size_t ring_elements = 0;
+  for (const dataflow::FifoStats& stream : run_stats.stream_stats) {
+    ring_elements += stream.capacity;
+  }
+  out << strings::format(
+      "KPN: %zu modules, %zu streams, %.2f MB of FIFO rings\n",
+      run_stats.modules, run_stats.streams,
+      static_cast<double>(ring_elements * sizeof(float)) / 1e6);
   std::uint64_t fires = 0;
   std::uint64_t module_blocks = 0;
   for (const dataflow::ModuleRunStats& module : run_stats.module_stats) {

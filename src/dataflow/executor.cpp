@@ -28,13 +28,6 @@ constexpr std::size_t kWeightFifoDepth = 1024;
 /// channel can never introduce a deadlock).
 constexpr std::size_t kMinEdgeDepth = 1024;
 
-/// Ceiling on the image-pipelining edge widening below (elements). Inter-PE
-/// edges grow to hold one full blob plus a word so image k can finish
-/// draining downstream while image k+1 already streams in behind it; blobs
-/// beyond this cap fall back to the plan/kMinEdgeDepth sizing (correctness
-/// is capacity-independent, only the overlap depth shrinks).
-constexpr std::size_t kMaxPipelineEdgeDepth = std::size_t{1} << 18;
-
 /// Environment default of the fused-pass locality fast path: enabled unless
 /// CONDOR_FUSED_LOCAL is "0"/"off"/"false" (the legacy loopback round trip,
 /// kept for A/B benchmarking — results are bit-identical either way).
@@ -282,7 +275,6 @@ Status AcceleratorExecutor::build_design() {
     const std::size_t window_h = std::max<std::size_t>(memory.window_h, 1);
     const std::size_t window_w = std::max<std::size_t>(memory.window_w, 1);
     const std::size_t lanes = std::max<std::size_t>(pe.parallel_in, 1);
-    const std::size_t map_w = std::max<std::size_t>(memory.map_w, 1);
 
     Stream* loopback = nullptr;
     if (program.passes.size() > 1 && !program.fused_local) {
@@ -290,32 +282,42 @@ Status AcceleratorExecutor::build_design() {
           std::max<std::size_t>(program.max_loopback_elements(), 1),
           pe.name + "_loopback");
     }
-    // Thirty-two rows of skid on the chain entrance and the PE ports. The mux
-    // and the filters move whole rows per burst; with the cooperative
-    // scheduler every full/empty edge is a suspend/re-fire round-trip, so
-    // the skid directly sets how many rows a module processes per firing.
-    // Two rows kept threads off each other's park path; thirty-two cuts the
-    // suspension count by ~4x at row-scale memory cost (in hardware these
-    // are direct wires either way).
-    const std::size_t row_buffer_depth =
-        std::max<std::size_t>(32 * map_w + 4, kGlueFifoDepth);
+    // One sizing rule for the memory subsystem, the inter-PE edges' "one
+    // image, capped" rule: every stream holds one image of its lane's
+    // traffic on the largest pass it carries. A chain head or inter-filter
+    // link carries ceil(C/lanes) padded input maps per pass; a filter->PE
+    // port at most ceil(C/lanes) matched out_h x out_w stripes. Under the
+    // cooperative scheduler every full or empty edge is a suspend/re-fire
+    // hand-off, so at this depth the mux and each filter move a whole pass
+    // per firing instead of a few rows. (In hardware these are direct
+    // wires; KPN results are capacity-independent, so the depth shows only
+    // in the software schedule.)
+    std::size_t chain_elements = 1;
+    std::size_t port_elements = 1;
+    for (std::size_t pi = 0; pi < program.passes.size(); ++pi) {
+      const LayerPass& pass = program.passes[pi];
+      if (pass.kind == PassKind::kInnerProduct ||
+          (program.fused_local && pi > 0)) {
+        continue;  // never crosses the mux and the filters
+      }
+      const std::size_t maps = (pass.in_channels + lanes - 1) / lanes;
+      chain_elements = std::max(chain_elements, maps * pass.in_h * pass.in_w);
+      port_elements = std::max(port_elements, maps * pass.out_h * pass.out_w);
+    }
+    const std::size_t chain_depth =
+        std::min(chain_elements, kMaxPipelineEdgeDepth);
+    const std::size_t port_depth =
+        std::min(port_elements, kMaxPipelineEdgeDepth);
     std::vector<Stream*> chain_heads;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       chain_heads.push_back(&graph.make_stream(
-          row_buffer_depth,
+          chain_depth,
           strings::format("%s_chain_in_l%zu", pe.name.c_str(), lane)));
     }
     graph.add_module<SourceMuxModule>(pe.name + "_mux", program, external_in,
                                       loopback, chain_heads);
 
-    // Filter chains in lexicographically inverse access order; each
-    // filter's PE-port stream carries the same row-scale skid as the chain
-    // entrance, and the inter-filter FIFOs hold at least eight rows so a
-    // filter forwards several consumed rows per firing instead of
-    // suspending after each one. (The hardware plan's fifo_to_next_depth
-    // still wins when it is larger — KPN results are capacity-independent,
-    // so the widening is observable only in the software schedule.)
-    const std::size_t port_depth = row_buffer_depth;
+    // Filter chains in lexicographically inverse access order.
     std::vector<Stream*> ports(lanes * window_h * window_w, nullptr);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       Stream* upstream = chain_heads[lane];
@@ -325,7 +327,7 @@ Status AcceleratorExecutor::build_design() {
         Stream* downstream = nullptr;
         if (!last) {
           downstream = &graph.make_stream(
-              std::max<std::size_t>(node.fifo_to_next_depth, 8 * map_w + 4),
+              chain_depth,
               strings::format("%s_chain_l%zu_%zu", pe.name.c_str(), lane, f));
         }
         Stream& port = graph.make_stream(

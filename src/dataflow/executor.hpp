@@ -39,6 +39,13 @@
 
 namespace condor::dataflow {
 
+/// Ceiling (elements) on every stream the executor sizes to one image of
+/// its traffic: the inter-PE edges and the memory-subsystem streams (chain
+/// heads, inter-filter links, filter->PE ports). Larger images fall back to
+/// smaller depths; KPN results are capacity-independent, only the number of
+/// scheduler hand-offs and the image overlap change.
+inline constexpr std::size_t kMaxPipelineEdgeDepth = std::size_t{1} << 18;
+
 /// Statistics from one batch run (module/FIFO census for reports + tests).
 struct RunStats {
   std::size_t modules = 0;

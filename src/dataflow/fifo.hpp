@@ -371,6 +371,15 @@ class Fifo {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
+
+  /// Elements currently buffered. A snapshot while the endpoints run (tail
+  /// is read first so the difference never wraps); exact once both are
+  /// quiescent, as in the scheduler's wedge report.
+  [[nodiscard]] std::size_t occupancy() const noexcept {
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
+                                    tail);
+  }
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
   }

@@ -46,24 +46,39 @@ Fire FilterModule::fire(const RunContext& ctx) {
           }
         }
       }
-      map_.resize(pass.in_h * pass.in_w);
-      for (std::size_t c = lane_; c < pass.in_channels; c += lane_count_) {
-        // One exact read per map: the filter privately buffers the whole
-        // channel, so the chain's progress never depends on the PE's port
+      // The lane's whole pass moves as one burst when it fits the upstream
+      // stream (the executor sizes the chain to one image of lane traffic),
+      // so a firing reads, forwards and matches every map of the pass at
+      // once; passes beyond the stream's capacity move one map per burst.
+      const std::size_t map_size = pass.in_h * pass.in_w;
+      const std::size_t lane_maps =
+          lane_ < pass.in_channels
+              ? (pass.in_channels - lane_ + lane_count_ - 1) / lane_count_
+              : 0;
+      const std::size_t group =
+          lane_maps * map_size <= upstream_.capacity() ? lane_maps : 1;
+      for (std::size_t done = 0; done < lane_maps; done += group) {
+        const std::size_t maps = std::min(group, lane_maps - done);
+        // One exact read per group: the filter privately buffers whole
+        // channels, so the chain's progress never depends on the PE's port
         // consumption order (see the forwarding note below).
+        map_.resize(maps * map_size);
         CONDOR_CO_READ_EXACT(
             upstream_, std::span<float>(map_),
             internal_error("filter '" + name() + "': upstream ended mid-pass"));
         matched_.clear();
         if (active && !match_cols_.empty()) {
-          for (std::size_t y = access_.ky; y < pass.in_h; ++y) {
-            const std::size_t ry = y - access_.ky;
-            if (ry % pass.stride != 0 || ry / pass.stride >= pass.out_h) {
-              continue;
-            }
-            const float* row = map_.data() + y * pass.in_w;
-            for (const std::size_t x : match_cols_) {
-              matched_.push_back(row[x]);
+          for (std::size_t m = 0; m < maps; ++m) {
+            const float* map = map_.data() + m * map_size;
+            for (std::size_t y = access_.ky; y < pass.in_h; ++y) {
+              const std::size_t ry = y - access_.ky;
+              if (ry % pass.stride != 0 || ry / pass.stride >= pass.out_h) {
+                continue;
+              }
+              const float* row = map + y * pass.in_w;
+              for (const std::size_t x : match_cols_) {
+                matched_.push_back(row[x]);
+              }
             }
           }
         }
@@ -111,30 +126,55 @@ Fire SourceMuxModule::fire(const RunContext& ctx) {
       }
       const std::size_t inner_h = pass.in_h - 2 * pass.pad;
       const std::size_t inner_w = pass.in_w - 2 * pass.pad;
-      // Zero padding is inserted at the chain entrance: the padded map is
-      // border zeros around the burst-read interior. The border cells are
-      // written once per pass (the per-channel scatter only touches the
-      // interior), and the whole padded map leaves in one burst.
-      map_.assign(pass.in_h * pass.in_w, 0.0F);
-      for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        Stream& out = *outs_[c % outs_.size()];
-        if (pass.pad == 0) {
-          CONDOR_CO_READ_EXACT(
-              *source, std::span<float>(map_),
-              internal_error("mux '" + name() + "': source ended mid-pass"));
-        } else {
+      const std::size_t lanes = outs_.size();
+      const std::size_t map_size = pass.in_h * pass.in_w;
+      // Each lane's whole pass leaves in one burst when it fits the lane
+      // stream, else one map per burst (groups of one channel per lane).
+      // Zero padding is inserted at the chain entrance: each padded map is
+      // border zeros around the burst-read interior.
+      const std::size_t lane_maps = (pass.in_channels + lanes - 1) / lanes;
+      const std::size_t group =
+          lane_maps * map_size <= outs_.front()->capacity() ? lane_maps : 1;
+      lane_maps_.resize(lanes);
+      for (std::size_t c0 = 0; c0 < pass.in_channels; c0 += group * lanes) {
+        const std::size_t end = std::min(pass.in_channels, c0 + group * lanes);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          const std::size_t maps =
+              c0 + lane < end ? (end - c0 - lane + lanes - 1) / lanes : 0;
+          if (pass.pad == 0) {
+            lane_maps_[lane].resize(maps * map_size);
+          } else {
+            lane_maps_[lane].assign(maps * map_size, 0.0F);
+          }
+        }
+        for (std::size_t c = c0; c < end; ++c) {
+          // Channel c is map (c - c0) / lanes of lane c % lanes (c0 is a
+          // multiple of lanes).
+          float* map =
+              lane_maps_[c % lanes].data() + (c - c0) / lanes * map_size;
+          if (pass.pad == 0) {
+            CONDOR_CO_READ_EXACT(
+                *source, std::span<float>(map, map_size),
+                internal_error("mux '" + name() + "': source ended mid-pass"));
+            continue;
+          }
           interior_.resize(inner_h * inner_w);
           CONDOR_CO_READ_EXACT(
               *source, std::span<float>(interior_),
               internal_error("mux '" + name() + "': source ended mid-pass"));
           for (std::size_t iy = 0; iy < inner_h; ++iy) {
             std::copy_n(interior_.data() + iy * inner_w, inner_w,
-                        map_.data() + (pass.pad + iy) * pass.in_w + pass.pad);
+                        map + (pass.pad + iy) * pass.in_w + pass.pad);
           }
         }
-        CONDOR_CO_WRITE_BURST(
-            out, map_,
-            internal_error("mux '" + name() + "': chain closed mid-pass"));
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          if (lane_maps_[lane].empty()) {
+            continue;
+          }
+          CONDOR_CO_WRITE_BURST(
+              *outs_[lane], lane_maps_[lane],
+              internal_error("mux '" + name() + "': chain closed mid-pass"));
+        }
       }
     }
   }

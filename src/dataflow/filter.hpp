@@ -17,11 +17,12 @@
 // matching elements leave toward the PE in output raster order, which is
 // exactly the order the PE consumes them.
 //
-// The software implementation streams one input map per FIFO call: the
-// whole map is burst-read from upstream into a private member buffer, the
+// The software implementation streams the lane's whole pass per FIFO call
+// when it fits the chain stream (one map per call otherwise): the maps are
+// burst-read from upstream into a private member buffer, the
 // domain-matching elements (decided by a per-pass precomputed column
 // pattern + the row inequality) are gathered and burst to the PE port, and
-// the full map is burst onward to the next filter. The element order on
+// the maps are burst onward to the next filter. The element order on
 // every stream is identical to the element-at-a-time schedule — only the
 // transfer granularity changes. Because each filter owns a private copy of
 // the map, the chain forwards BEFORE writing its port: the map reaches
@@ -93,8 +94,9 @@ class FilterModule final : public Module {
 // convolutions (border handling happens at the chain entrance so filters
 // operate on padded coordinates only), and deals input channel c to chain
 // lane c % lanes (the replicated memory subsystems of inter-layer
-// parallelism). Each padded map is assembled in a local buffer (border
-// zeros + a burst read of the interior) and burst to the lane stream whole.
+// parallelism). Each padded map is assembled in a per-lane buffer (border
+// zeros + a burst read of the interior); a lane's whole pass leaves in one
+// burst when it fits the lane stream, one map per burst otherwise.
 class SourceMuxModule final : public Module {
  public:
   /// `loopback` may be null when the program has a single pass.
@@ -114,8 +116,9 @@ class SourceMuxModule final : public Module {
   Stream* loopback_;
   std::vector<Stream*> outs_;
 
-  /// Steady-state map/interior buffers (persist across images and batches).
-  std::vector<float> map_;
+  /// Steady-state buffers (persist across images and batches): the padded
+  /// maps bound for each lane, and one channel's interior.
+  std::vector<std::vector<float>> lane_maps_;
   std::vector<float> interior_;
 };
 

@@ -9,6 +9,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "dataflow/fire.hpp"
 
 namespace condor::dataflow {
@@ -145,6 +146,27 @@ struct CoopRun {
     }
   }
 
+  /// The wedge report: each blocked module, the endpoint it waits on and
+  /// that stream's occupancy/capacity, which tells a full channel nobody
+  /// drains from an empty one nobody feeds. Called under the run mutex with
+  /// nothing in flight, so every record and stream is quiescent.
+  [[nodiscard]] std::string describe_wedge() const {
+    std::string message =
+        "dataflow wedge: every module blocked with no pending wake";
+    for (const ModuleRec& rec : recs) {
+      const Stream* stream = rec.fire_ctx.blocked_stream;
+      if (rec.state.load(std::memory_order_relaxed) != kBlocked ||
+          stream == nullptr) {
+        continue;
+      }
+      message += strings::format(
+          "; '%s' waits to %s '%s' (%zu/%zu)", rec.module->name().c_str(),
+          rec.fire_ctx.blocked_op == StreamOp::kRead ? "read" : "write",
+          stream->name().c_str(), stream->occupancy(), stream->capacity());
+    }
+    return message;
+  }
+
   /// Wedge teardown, called with `lock` held.
   void stall(std::unique_lock<std::mutex>& lock) {
     if (torn_down) {
@@ -169,8 +191,7 @@ struct CoopRun {
       }
     }
     if (teardown_cause.is_ok()) {
-      teardown_cause = internal_error(
-          "dataflow wedge: every module blocked with no pending wake");
+      teardown_cause = internal_error(describe_wedge());
     }
     // Count as inflight while outside the lock: the drained firings bump
     // `done` to the total on other workers, and the run must not finish

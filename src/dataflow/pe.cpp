@@ -323,6 +323,19 @@ void FeaturePeModule::gather_local_map(const LayerPass& pass,
   }
 }
 
+std::size_t FeaturePeModule::stage_group(const LayerPass& pass) const noexcept {
+  // The whole pass when every port holds its lane's whole pass (the
+  // filters then write each port in one burst, and one read round drains
+  // them all); otherwise one channel per input lane per round. Either way
+  // the staging never exceeds the ports' own ring memory.
+  const std::size_t channels = std::max<std::size_t>(pass.in_channels, 1);
+  const std::size_t lane_maps = (channels + lanes_ - 1) / lanes_;
+  if (lane_maps * pass.out_h * pass.out_w <= ports_.front()->capacity()) {
+    return channels;
+  }
+  return std::min(lanes_, channels);
+}
+
 Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
                                PassSink sink) {
   const std::size_t lane_stride = window_h_max_ * window_w_max_;
@@ -363,15 +376,14 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
         lane_taps_[lane].resize(tap_count);
       }
 
-      // Stream parallel_in consecutive input-channel stripes per group —
-      // one per provisioned input lane, in the identical FIFO read order
-      // of the channel-at-a-time schedule — then fork the compute lanes
-      // once over the whole staged group. Each lane walks the group's
+      // Stage a group of consecutive input-channel stripes (stage_group:
+      // the whole pass, or one per provisioned input lane), in the
+      // identical FIFO read order of the channel-at-a-time schedule, then
+      // fork the compute lanes once over the group. Each lane walks the group's
       // stripes in ascending-ic order, so every output element keeps its
       // exact accumulation chain (bias, then ic-major adds) at any
       // parallel_in degree.
-      const std::size_t group = std::clamp<std::size_t>(
-          lanes_, 1, std::max<std::size_t>(pass.in_channels, 1));
+      const std::size_t group = stage_group(pass);
       const std::size_t stripe_elems = pass.out_h * tap_count * pass.out_w;
       stage_.resize(group * stripe_elems);
       for (std::size_t ic0 = 0; ic0 < pass.in_channels; ic0 += group) {
@@ -575,27 +587,30 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
     const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
     lane_acc[lane].resize(map_points * slice.width());
     Acc* acc = lane_acc[lane].data();
-    for (std::size_t point = 0; point < map_points; ++point) {
-      for (std::size_t j = 0; j < slice.width(); ++j) {
-        acc[point * slice.width() + j] =
-            pass.has_bias
-                ? static_cast<Acc>(
-                      nn::realign_code(cache.bias_codes[slice.begin + j],
-                                       cache.bias_frac, acc_frac))
-                : Acc{0};
+    // The accumulator scale follows the image's input format, so each
+    // output channel's bias realigns once per pass and then seeds every
+    // map point of that channel.
+    for (std::size_t j = 0; j < slice.width(); ++j) {
+      const Acc seed =
+          pass.has_bias
+              ? static_cast<Acc>(nn::realign_code(
+                    cache.bias_codes[slice.begin + j], cache.bias_frac,
+                    acc_frac))
+              : Acc{0};
+      for (std::size_t point = 0; point < map_points; ++point) {
+        acc[point * slice.width() + j] = seed;
       }
     }
     lane_taps_fixed_[lane].resize(tap_count);
   }
 
-  // The port streams carry codes in float words; stage parallel_in
-  // consecutive input-channel stripes per group (same FIFO read order as
+  // The port streams carry codes in float words; stage a group of
+  // consecutive input-channel stripes (stage_group; same FIFO read order as
   // the channel-at-a-time schedule), cast the group back to integer codes
   // (exact — see codes_from_floats), and fork the compute lanes once over
   // the whole group. Integer accumulation is exact, so neither the group
   // size nor the lane count can perturb any sum.
-  const std::size_t group = std::clamp<std::size_t>(
-      lanes_, 1, std::max<std::size_t>(pass.in_channels, 1));
+  const std::size_t group = stage_group(pass);
   const std::size_t stripe_elems = pass.out_h * tap_count * pass.out_w;
   stage_.resize(group * stripe_elems);
   for (std::size_t ic0 = 0; ic0 < pass.in_channels; ic0 += group) {

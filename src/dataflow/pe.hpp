@@ -194,6 +194,9 @@ class FeaturePeModule final : public Module {
   void gather_local_map(const LayerPass& pass, std::size_t channel,
                         std::span<float> map) const noexcept;
 
+  /// Input channels a conv pass stages (and computes) per round.
+  [[nodiscard]] std::size_t stage_group(const LayerPass& pass) const noexcept;
+
   /// Pass-indexed cache of resident weight blocks, latched from the weight
   /// stream's one-time load (latch_resident_weights) and reused for every
   /// image and every run_batch of the compiled design. The WeightStore is

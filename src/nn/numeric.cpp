@@ -7,11 +7,27 @@
 namespace condor::nn {
 namespace {
 
-// Rounds a scaled value half away from zero in the double domain. Double
-// holds every int32 code and every float input times 2^15 exactly, so the
-// tie test itself is exact.
+// Rounds a scaled value half away from zero in the double domain:
+// floor(x + 0.5) for x >= 0, ceil(x - 0.5) below. Double holds every int32
+// code and every float input times 2^30 exactly, so the tie test itself is
+// exact. Truncating the shifted value is that floor/ceil, and every double
+// of magnitude >= 2^52 is already integral, so the int64 round trip below
+// 2^62 replaces the two libm calls without changing a result (a zero may
+// come back unsigned, which no caller can observe; NaN stays NaN).
 double round_half_away(double scaled) noexcept {
-  return scaled >= 0.0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
+  const double shifted = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
+  constexpr double kIntegral = exact_pow2(62);
+  return std::abs(shifted) < kIntegral
+             ? static_cast<double>(static_cast<std::int64_t>(shifted))
+             : shifted;
+}
+
+/// The one quantization step behind quantize_code and quantize_span:
+/// `value` times the exact power of two `scale`, rounded, saturated.
+std::int32_t quantize_scaled(float value, double scale, double min_code,
+                             double max_code) noexcept {
+  const double rounded = round_half_away(static_cast<double>(value) * scale);
+  return static_cast<std::int32_t>(std::clamp(rounded, min_code, max_code));
 }
 
 }  // namespace
@@ -81,16 +97,9 @@ std::int32_t FixedPointFormat::min_code() const noexcept {
 }
 
 std::int32_t quantize_code(float value, const FixedPointFormat& format) noexcept {
-  const double scaled = std::ldexp(static_cast<double>(value), format.frac_bits);
-  const double rounded = round_half_away(scaled);
-  const double clamped =
-      std::clamp(rounded, static_cast<double>(format.min_code()),
-                 static_cast<double>(format.max_code()));
-  return static_cast<std::int32_t>(clamped);
-}
-
-float dequantize_code(std::int64_t code, int frac_bits) noexcept {
-  return static_cast<float>(std::ldexp(static_cast<double>(code), -frac_bits));
+  return quantize_scaled(value, exact_pow2(format.frac_bits),
+                         static_cast<double>(format.min_code()),
+                         static_cast<double>(format.max_code()));
 }
 
 float quantize_value(float value, const FixedPointFormat& format) noexcept {
@@ -103,8 +112,8 @@ std::int64_t realign_code(std::int64_t code, int from_frac, int to_frac) noexcep
   }
   // Losing bits: round half away from zero on the dropped fraction. The
   // magnitudes involved (weights/bias codes) fit double exactly.
-  return static_cast<std::int64_t>(
-      round_half_away(std::ldexp(static_cast<double>(code), to_frac - from_frac)));
+  return static_cast<std::int64_t>(round_half_away(
+      static_cast<double>(code) * exact_pow2(to_frac - from_frac)));
 }
 
 FixedPointFormat choose_format(std::span<const float> values,
@@ -122,8 +131,8 @@ FixedPointFormat choose_format(std::span<const float> values,
   // most total_bits placements; each test mirrors quantize_code exactly.
   const double max_code = static_cast<double>(format.max_code());
   while (format.frac_bits > 0 &&
-         round_half_away(std::ldexp(static_cast<double>(max_abs),
-                                    format.frac_bits)) > max_code) {
+         round_half_away(static_cast<double>(max_abs) *
+                         exact_pow2(format.frac_bits)) > max_code) {
     --format.frac_bits;
   }
   return format;
@@ -140,9 +149,12 @@ FixedPointFormat quantize_tensor(Tensor& tensor, int total_bits) noexcept {
 FixedPointFormat quantize_span(std::span<const float> values, int total_bits,
                                std::vector<std::int32_t>& codes) {
   const FixedPointFormat format = choose_format(values, total_bits);
+  const double scale = exact_pow2(format.frac_bits);
+  const auto min_code = static_cast<double>(format.min_code());
+  const auto max_code = static_cast<double>(format.max_code());
   codes.resize(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    codes[i] = quantize_code(values[i], format);
+    codes[i] = quantize_scaled(values[i], scale, min_code, max_code);
   }
   return format;
 }

@@ -30,8 +30,13 @@
 //  * requantization happens at layer-pass boundaries over the full output
 //    blob: dequantize the accumulator, apply the activation in float,
 //    choose a fresh format for the blob, quantize back to codes.
+//
+// Scaling by 2^k is a multiply by exact_pow2(k), never a std::ldexp call:
+// the power of two is exact, so the IEEE product is the correctly rounded
+// x * 2^k — bit-identical to ldexp for every k the datapath produces.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -74,14 +79,24 @@ struct FixedPointFormat {
   [[nodiscard]] std::int32_t min_code() const noexcept;  ///< -2^(t-1)
 };
 
+/// 2^k as a double, assembled from the exponent field. Exact for every k in
+/// [-1022, 1023] (the normal range), so multiplying by it equals
+/// std::ldexp(x, k) bit for bit.
+constexpr double exact_pow2(int k) noexcept {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(1023 + k) << 52);
+}
+
 /// Quantizes `value` to an integer code: round-half-away-from-zero on the
 /// scaled value, saturating at [min_code, max_code].
 std::int32_t quantize_code(float value, const FixedPointFormat& format) noexcept;
 
 /// code * 2^-frac_bits, computed in double and narrowed once (wide
 /// accumulators exceed float's 24-bit mantissa; both engines must lose the
-/// same bits at the same point).
-float dequantize_code(std::int64_t code, int frac_bits) noexcept;
+/// same bits at the same point). Inline: every boundary step of both
+/// engines calls it once per element.
+inline float dequantize_code(std::int64_t code, int frac_bits) noexcept {
+  return static_cast<float>(static_cast<double>(code) * exact_pow2(-frac_bits));
+}
 
 /// Rounds to the nearest representable value, saturating at the format
 /// range (quantize_code followed by dequantize_code).
@@ -105,7 +120,8 @@ FixedPointFormat choose_format(std::span<const float> values,
 FixedPointFormat quantize_tensor(Tensor& tensor, int total_bits) noexcept;
 
 /// Quantizes a float span into integer codes with a freshly chosen dynamic
-/// format (resizes `codes`). Returns the format.
+/// format (resizes `codes`); the scale 2^frac is computed once per blob.
+/// Returns the format.
 FixedPointFormat quantize_span(std::span<const float> values, int total_bits,
                                std::vector<std::int32_t>& codes);
 

@@ -34,7 +34,7 @@ FixedBlob requantize_layer_output(Shape shape, std::span<const std::int64_t> raw
 }
 
 Result<FixedBlob> fixed_convolution(const LayerSpec& layer, const FixedBlob& in,
-                                    const LayerParameters& params,
+                                    const QuantizedParameters& params,
                                     int total_bits) {
   const std::size_t in_c = in.shape[0];
   const std::size_t in_h = in.shape[1];
@@ -46,23 +46,10 @@ Result<FixedBlob> fixed_convolution(const LayerSpec& layer, const FixedBlob& in,
       std::size_t out_w,
       window_output_extent(in_w, layer.kernel_w, layer.stride, layer.pad));
   const std::size_t out_c = layer.num_output;
-  if (params.weights.shape() !=
-      Shape{out_c, in_c, layer.kernel_h, layer.kernel_w}) {
+  if (params.weights.size() != out_c * in_c * layer.kernel_h * layer.kernel_w) {
     return invalid_input("convolution '" + layer.name + "': weight shape mismatch");
   }
-
-  // Quantize the layer's parameters from the raw floats: one dynamic format
-  // for the full weight blob, one for the bias — the same blobs the PEs see
-  // on the weight stream, so the codes match by construction.
-  std::vector<std::int32_t> wcodes;
-  const FixedPointFormat wf =
-      quantize_span(params.weights.data(), total_bits, wcodes);
-  std::vector<std::int32_t> bcodes;
-  FixedPointFormat bf{total_bits, total_bits - 1};
-  if (layer.has_bias) {
-    bf = quantize_span(params.bias.data(), total_bits, bcodes);
-  }
-  const int acc_frac = wf.frac_bits + in.frac_bits;
+  const int acc_frac = params.weight_frac + in.frac_bits;
 
   // Zero-padded code frame — code 0 is exactly value 0, so the border is
   // neutral for the accumulation just as in the float engine.
@@ -87,14 +74,16 @@ Result<FixedBlob> fixed_convolution(const LayerSpec& layer, const FixedBlob& in,
   std::vector<std::int64_t> acc(out_c * out_h * out_w);
   for (std::size_t oc = 0; oc < out_c; ++oc) {
     const std::int64_t seed =
-        layer.has_bias ? realign_code(bcodes[oc], bf.frac_bits, acc_frac) : 0;
+        layer.has_bias
+            ? realign_code(params.bias[oc], params.bias_frac, acc_frac)
+            : 0;
     for (std::size_t oy = 0; oy < out_h; ++oy) {
       for (std::size_t ox = 0; ox < out_w; ++ox) {
         std::int64_t sum = seed;
         for (std::size_t ic = 0; ic < in_c; ++ic) {
           const std::int32_t* channel = frame + ic * frame_h * frame_w;
           const std::int32_t* wrow =
-              wcodes.data() +
+              params.weights.data() +
               (oc * in_c + ic) * layer.kernel_h * layer.kernel_w;
           for (std::size_t ky = 0; ky < layer.kernel_h; ++ky) {
             const std::int32_t* xrow =
@@ -162,29 +151,23 @@ Result<FixedBlob> fixed_pooling(const LayerSpec& layer, const FixedBlob& in,
 }
 
 Result<FixedBlob> fixed_inner_product(const LayerSpec& layer, const FixedBlob& in,
-                                      const LayerParameters& params,
+                                      const QuantizedParameters& params,
                                       int total_bits) {
   const std::size_t in_count = in.codes.size();
   const std::size_t out_count = layer.num_output;
-  if (params.weights.shape() != Shape{out_count, in_count}) {
+  if (params.weights.size() != out_count * in_count) {
     return invalid_input("inner product '" + layer.name +
                          "': weight shape mismatch");
   }
-  std::vector<std::int32_t> wcodes;
-  const FixedPointFormat wf =
-      quantize_span(params.weights.data(), total_bits, wcodes);
-  std::vector<std::int32_t> bcodes;
-  FixedPointFormat bf{total_bits, total_bits - 1};
-  if (layer.has_bias) {
-    bf = quantize_span(params.bias.data(), total_bits, bcodes);
-  }
-  const int acc_frac = wf.frac_bits + in.frac_bits;
+  const int acc_frac = params.weight_frac + in.frac_bits;
 
   std::vector<std::int64_t> acc(out_count);
   for (std::size_t o = 0; o < out_count; ++o) {
     std::int64_t sum =
-        layer.has_bias ? realign_code(bcodes[o], bf.frac_bits, acc_frac) : 0;
-    const std::int32_t* row = wcodes.data() + o * in_count;
+        layer.has_bias
+            ? realign_code(params.bias[o], params.bias_frac, acc_frac)
+            : 0;
+    const std::int32_t* row = params.weights.data() + o * in_count;
     for (std::size_t i = 0; i < in_count; ++i) {
       sum += static_cast<std::int64_t>(row[i]) * in.codes[i];
     }
@@ -317,7 +300,33 @@ Result<QuantizedEngine> QuantizedEngine::create(Network network,
   CONDOR_ASSIGN_OR_RETURN(
       ReferenceEngine engine,
       ReferenceEngine::create(std::move(network), std::move(weights)));
-  return QuantizedEngine(std::move(engine), type, total_bits(type));
+  const int bits = total_bits(type);
+  std::vector<QuantizedParameters> params;
+  if (is_fixed_point(type)) {
+    // One dynamic format for the full weight blob, one for the bias — the
+    // same blobs the PEs see on the weight stream, so the codes match by
+    // construction.
+    const auto& layers = engine.network().layers();
+    params.resize(layers.size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      if (!layers[i].has_weights()) {
+        continue;
+      }
+      const LayerParameters* raw = engine.weights().find(layers[i].name);
+      if (raw == nullptr) {
+        return not_found("no weights for '" + layers[i].name + "'");
+      }
+      QuantizedParameters& codes = params[i];
+      codes.weight_frac =
+          quantize_span(raw->weights.data(), bits, codes.weights).frac_bits;
+      codes.bias_frac = bits - 1;
+      if (layers[i].has_bias) {
+        codes.bias_frac =
+            quantize_span(raw->bias.data(), bits, codes.bias).frac_bits;
+      }
+    }
+  }
+  return QuantizedEngine(std::move(engine), type, bits, std::move(params));
 }
 
 Result<Tensor> QuantizedEngine::forward(const Tensor& input) const {
@@ -349,12 +358,8 @@ Result<Tensor> QuantizedEngine::forward(const Tensor& input) const {
         blobs[i] = image;
         break;
       case LayerKind::kConvolution: {
-        const LayerParameters* params = engine_.weights().find(layer.name);
-        if (params == nullptr) {
-          return not_found("no weights for '" + layer.name + "'");
-        }
         CONDOR_ASSIGN_OR_RETURN(
-            blobs[i], fixed_convolution(layer, in0, *params, total_bits_));
+            blobs[i], fixed_convolution(layer, in0, params_[i], total_bits_));
         break;
       }
       case LayerKind::kPooling: {
@@ -363,12 +368,8 @@ Result<Tensor> QuantizedEngine::forward(const Tensor& input) const {
         break;
       }
       case LayerKind::kInnerProduct: {
-        const LayerParameters* params = engine_.weights().find(layer.name);
-        if (params == nullptr) {
-          return not_found("no weights for '" + layer.name + "'");
-        }
         CONDOR_ASSIGN_OR_RETURN(
-            blobs[i], fixed_inner_product(layer, in0, *params, total_bits_));
+            blobs[i], fixed_inner_product(layer, in0, params_[i], total_bits_));
         break;
       }
       case LayerKind::kActivation:

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.hpp"
 #include "nn/network.hpp"
@@ -25,6 +26,15 @@ namespace condor::nn {
 /// Quantizes all weights/biases of a store (per-blob dynamic formats,
 /// weights and bias of a layer each get their own format).
 Result<WeightStore> quantize_weights(const WeightStore& weights, DataType type);
+
+/// One weighted layer's parameter blobs as fixed-point codes: one dynamic
+/// format over the weight tensor, one over the bias.
+struct QuantizedParameters {
+  std::vector<std::int32_t> weights;
+  int weight_frac = 0;
+  std::vector<std::int32_t> bias;
+  int bias_frac = 0;
+};
 
 /// Inference at a selected DataType.
 ///
@@ -39,9 +49,11 @@ Result<WeightStore> quantize_weights(const WeightStore& weights, DataType type);
 /// bit-exact against this engine per DataType.
 class QuantizedEngine {
  public:
-  /// Keeps the RAW float weights; the fixed-point forward quantizes each
-  /// layer's blob on the fly — exactly what the dataflow PEs do with the
-  /// raw weight stream, so both sides derive identical codes and formats.
+  /// Keeps the RAW float weights (the float32 path runs on them) and, for a
+  /// fixed type, quantizes every weighted layer's blobs once, here — what
+  /// the dataflow PEs do with the raw weight stream, so both sides derive
+  /// identical codes and formats, and forward() never touches a parameter
+  /// float.
   static Result<QuantizedEngine> create(Network network, WeightStore weights,
                                         DataType type);
 
@@ -50,12 +62,18 @@ class QuantizedEngine {
   [[nodiscard]] DataType data_type() const noexcept { return type_; }
 
  private:
-  QuantizedEngine(ReferenceEngine engine, DataType type, int total_bits)
-      : engine_(std::move(engine)), type_(type), total_bits_(total_bits) {}
+  QuantizedEngine(ReferenceEngine engine, DataType type, int total_bits,
+                  std::vector<QuantizedParameters> params)
+      : engine_(std::move(engine)),
+        type_(type),
+        total_bits_(total_bits),
+        params_(std::move(params)) {}
 
   ReferenceEngine engine_;
   DataType type_;
   int total_bits_;
+  /// Indexed by layer; empty for unweighted layers and for float32.
+  std::vector<QuantizedParameters> params_;
 };
 
 /// Error metrics between a float reference output and a quantized output.

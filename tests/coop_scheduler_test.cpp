@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <future>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "dataflow/graph.hpp"
 #include "hw/accel_plan.hpp"
 #include "nn/models.hpp"
+#include "nn/quantization.hpp"
 #include "test_util.hpp"
 
 namespace condor {
@@ -218,6 +221,119 @@ TEST(CoopScheduler, ModuleErrorTearsDownInsteadOfWedging) {
   ASSERT_EQ(task.wait_for(kRunDeadline), std::future_status::ready)
       << "repeat run wedged";
   EXPECT_TRUE(task.get().is_ok());
+}
+
+TEST(CoopScheduler, LeNetStaysWithinSuspensionBudget) {
+  // Every memory-subsystem stream holds one image of its lane's traffic,
+  // so the mux and each filter move a whole pass per firing: a warm LeNet
+  // batch suspends a bounded number of times per image at any worker count
+  // (row-deep streams cost over 2,000 suspensions per image).
+  constexpr std::size_t kBatch = 8;
+  constexpr std::uint64_t kMaxSuspensionsPerImage = 300;
+  const nn::Network lenet = nn::make_lenet();
+  for (const nn::DataType type :
+       {nn::DataType::kFloat32, nn::DataType::kFixed8}) {
+    const Fixture fixture = make_fixture(lenet, type, 1, kBatch, 421);
+    auto oracle = nn::QuantizedEngine::create(lenet, *fixture.weights, type);
+    ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(std::string(nn::to_string(type)) +
+                   " workers = " + std::to_string(workers));
+      auto executor =
+          dataflow::AcceleratorExecutor::create(fixture.plan, fixture.weights);
+      ASSERT_TRUE(executor.is_ok());
+      executor.value().set_scheduler_workers(workers);
+      // The cold run latches the weights; the budget covers warm runs.
+      ASSERT_TRUE(executor.value().run_batch(fixture.inputs).is_ok());
+      auto outputs = executor.value().run_batch(fixture.inputs);
+      ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
+      ASSERT_EQ(outputs.value().size(), kBatch);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        auto expected = oracle.value().forward(fixture.inputs[i]);
+        ASSERT_TRUE(expected.is_ok()) << expected.status().to_string();
+        const std::span<const float> actual = outputs.value()[i].data();
+        const std::span<const float> want = expected.value().data();
+        ASSERT_EQ(actual.size(), want.size());
+        EXPECT_EQ(std::memcmp(actual.data(), want.data(), actual.size_bytes()),
+                  0)
+            << "image " << i << " differs from the oracle";
+      }
+      const dataflow::RunStats& stats = executor.value().last_run_stats();
+      std::uint64_t suspensions = 0;
+      for (const dataflow::ModuleRunStats& module : stats.module_stats) {
+        suspensions += module.blocked;
+      }
+      EXPECT_LE(suspensions, kMaxSuspensionsPerImage * kBatch);
+      for (const dataflow::FifoStats& stream : stats.stream_stats) {
+        EXPECT_LE(stream.capacity, dataflow::kMaxPipelineEdgeDepth);
+      }
+    }
+  }
+}
+
+/// Reads one element from `in`, then forwards it to `out`. Two relays wired
+/// head to tail each wait for the other: a wedge with no module error.
+class RelayModule final : public dataflow::Module {
+ public:
+  RelayModule(std::string name, dataflow::Stream& in, dataflow::Stream& out)
+      : Module(std::move(name)), in_(in), out_(out) {}
+
+  dataflow::Fire fire(const dataflow::RunContext& /*ctx*/) override {
+    float value = 0.0F;
+    CONDOR_CO_READ_ONE(in_, value, internal_error("relay: input ended"));
+    CONDOR_CO_WRITE_ONE(out_, value, internal_error("relay: output closed"));
+    out_.close();
+    co_return Status::ok();
+  }
+
+ private:
+  dataflow::Stream& in_;
+  dataflow::Stream& out_;
+};
+
+/// Writes `count` elements into `out`, which nobody reads.
+class FloodModule final : public dataflow::Module {
+ public:
+  FloodModule(std::string name, dataflow::Stream& out, std::size_t count)
+      : Module(std::move(name)), out_(out), values_(count, 1.0F) {}
+
+  dataflow::Fire fire(const dataflow::RunContext& /*ctx*/) override {
+    CONDOR_CO_WRITE_BURST(out_, values_,
+                          internal_error("flood: output closed"));
+    out_.close();
+    co_return Status::ok();
+  }
+
+ private:
+  dataflow::Stream& out_;
+  std::vector<float> values_;
+};
+
+TEST(CoopScheduler, WedgeReportNamesBlockedModulesAndStreams) {
+  dataflow::Graph graph;
+  dataflow::Stream& a_to_b = graph.make_stream(4, "a_to_b");
+  dataflow::Stream& b_to_a = graph.make_stream(4, "b_to_a");
+  dataflow::Stream& unread = graph.make_stream(3, "unread");
+  graph.add_module<RelayModule>("relay_a", b_to_a, a_to_b);
+  graph.add_module<RelayModule>("relay_b", a_to_b, b_to_a);
+  graph.add_module<FloodModule>("flood", unread, 5);
+  auto task = std::async(std::launch::async, [&] { return graph.run(); });
+  ASSERT_EQ(task.wait_for(kRunDeadline), std::future_status::ready)
+      << "wedge teardown hung";
+  const Status status = task.get();
+  ASSERT_FALSE(status.is_ok());
+  const std::string& message = status.message();
+  EXPECT_NE(message.find("every module blocked"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("'relay_a' waits to read 'b_to_a' (0/4)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("'relay_b' waits to read 'a_to_b' (0/4)"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("'flood' waits to write 'unread' (3/3)"),
+            std::string::npos)
+      << message;
 }
 
 }  // namespace

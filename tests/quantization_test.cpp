@@ -1,7 +1,13 @@
 // Tests for the fixed-point quantization study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "dataflow/executor.hpp"
 #include "hw/accel_plan.hpp"
@@ -108,6 +114,183 @@ TEST(FixedPoint, RealignCodeShiftsExactlyAndRoundsTiesAway) {
   EXPECT_EQ(realign_code(24, 6, 2), 2);     // 1.5 tie rounds away
   EXPECT_EQ(realign_code(-24, 6, 2), -2);   // symmetric for negatives
   EXPECT_EQ(realign_code(-40, 6, 2), -3);   // -2.5 tie rounds away
+}
+
+// The std::ldexp formulations the shared helpers were first written with —
+// the bit-for-bit reference for the exact-power-of-two versions.
+double ldexp_round_half_away(double scaled) {
+  return scaled >= 0.0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
+}
+
+std::int32_t ldexp_quantize_code(float value, const FixedPointFormat& format) {
+  const double rounded = ldexp_round_half_away(
+      std::ldexp(static_cast<double>(value), format.frac_bits));
+  return static_cast<std::int32_t>(
+      std::clamp(rounded, static_cast<double>(format.min_code()),
+                 static_cast<double>(format.max_code())));
+}
+
+float ldexp_dequantize_code(std::int64_t code, int frac_bits) {
+  return static_cast<float>(std::ldexp(static_cast<double>(code), -frac_bits));
+}
+
+std::int64_t ldexp_realign_code(std::int64_t code, int from_frac,
+                                int to_frac) {
+  if (to_frac >= from_frac) {
+    return code << (to_frac - from_frac);
+  }
+  return static_cast<std::int64_t>(ldexp_round_half_away(
+      std::ldexp(static_cast<double>(code), to_frac - from_frac)));
+}
+
+int ldexp_choose_frac(std::span<const float> values, int total_bits) {
+  float max_abs = 0.0F;
+  for (const float v : values) {
+    max_abs = std::max(max_abs, std::abs(v));
+  }
+  int frac = total_bits - 1;
+  if (max_abs == 0.0F) {
+    return frac;
+  }
+  const auto max_code =
+      static_cast<double>(FixedPointFormat{total_bits, frac}.max_code());
+  while (frac > 0 && ldexp_round_half_away(std::ldexp(
+                         static_cast<double>(max_abs), frac)) > max_code) {
+    --frac;
+  }
+  return frac;
+}
+
+/// Quantizer inputs for one format: half-way ties around zero and at both
+/// saturation edges with their float neighbours, signed zeros, denormals,
+/// +-FLT_MIN, +-FLT_MAX, +-infinity and random finite bit patterns.
+std::vector<float> quantize_probes(const FixedPointFormat& format, Rng& rng) {
+  using limits = std::numeric_limits<float>;
+  std::vector<float> probes = {
+      0.0F, -0.0F, limits::denorm_min(), -limits::denorm_min(), 1e-40F,
+      -1e-41F, limits::min(), -limits::min(), limits::max(), -limits::max(),
+      limits::infinity(), -limits::infinity()};
+  const double step = std::ldexp(1.0, -format.frac_bits);
+  const auto add_with_neighbours = [&](double x) {
+    const auto f = static_cast<float>(x);
+    probes.push_back(f);
+    probes.push_back(std::nextafter(f, limits::infinity()));
+    probes.push_back(std::nextafter(f, -limits::infinity()));
+  };
+  for (int k = -4; k <= 4; ++k) {
+    add_with_neighbours((k + 0.5) * step);
+  }
+  for (const double edge : {static_cast<double>(format.max_code()),
+                            static_cast<double>(format.min_code())}) {
+    for (const double offset : {-1.0, -0.5, 0.0, 0.5, 1.0}) {
+      add_with_neighbours((edge + offset) * step);
+    }
+  }
+  while (probes.size() < 160) {
+    const auto value =
+        std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+    if (!std::isnan(value)) {
+      probes.push_back(value);
+    }
+  }
+  return probes;
+}
+
+/// Accumulator-width codes: narrow-format extremes, the int32 and int64
+/// extremes, the first integers double cannot hold, and one random code
+/// of each magnitude width, both signs.
+std::vector<std::int64_t> code_probes(Rng& rng) {
+  using i32 = std::numeric_limits<std::int32_t>;
+  using i64 = std::numeric_limits<std::int64_t>;
+  std::vector<std::int64_t> codes = {0, 1, -1, 127, -128, 32767, -32768,
+                                     i32::max(), i32::min(),
+                                     (std::int64_t{1} << 53) + 1,
+                                     -((std::int64_t{1} << 53) + 1),
+                                     i64::max(), i64::min()};
+  for (int width = 1; width <= 63; ++width) {
+    const auto magnitude =
+        static_cast<std::int64_t>(rng.next_u64() >> (64 - width));
+    codes.push_back(magnitude);
+    codes.push_back(-magnitude);
+  }
+  return codes;
+}
+
+TEST(FixedPoint, QuantizeMatchesLdexpBitForBit) {
+  Rng rng(17);
+  for (const int bits : {8, 16, 32}) {
+    for (int frac = 0; frac <= 30; ++frac) {
+      const FixedPointFormat format{bits, frac};
+      for (const float value : quantize_probes(format, rng)) {
+        ASSERT_EQ(quantize_code(value, format),
+                  ldexp_quantize_code(value, format))
+            << bits << "-bit frac " << frac << " value " << value;
+      }
+    }
+    // quantize_span: the chosen format and every code of blobs whose
+    // magnitudes sweep from denormal scale to far past the code range.
+    for (int exponent = -140; exponent <= 120; exponent += 4) {
+      std::vector<float> blob(96);
+      for (float& value : blob) {
+        value = std::ldexp(rng.uniform(-1.0F, 1.0F), exponent);
+      }
+      std::vector<std::int32_t> codes;
+      const FixedPointFormat format = quantize_span(blob, bits, codes);
+      ASSERT_EQ(format.frac_bits, ldexp_choose_frac(blob, bits))
+          << bits << "-bit blob at 2^" << exponent;
+      ASSERT_EQ(codes.size(), blob.size());
+      for (std::size_t i = 0; i < blob.size(); ++i) {
+        ASSERT_EQ(codes[i], ldexp_quantize_code(blob[i], format))
+            << bits << "-bit blob at 2^" << exponent << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(FixedPoint, DequantizeMatchesLdexpBitForBit) {
+  Rng rng(19);
+  const std::vector<std::int64_t> codes = code_probes(rng);
+  for (int frac = 0; frac <= 30; ++frac) {
+    for (const std::int64_t code : codes) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(dequantize_code(code, frac)),
+                std::bit_cast<std::uint32_t>(ldexp_dequantize_code(code, frac)))
+          << "code " << code << " frac " << frac;
+    }
+  }
+}
+
+TEST(FixedPoint, RealignMatchesLdexpBitForBit) {
+  Rng rng(23);
+  const std::vector<std::int64_t> wide = code_probes(rng);
+  for (int from = 0; from <= 30; ++from) {
+    for (int to = 0; to <= 30; ++to) {
+      std::vector<std::int64_t> codes;
+      if (to < from) {
+        // Losing bits: the half-way ties of the dropped fraction with their
+        // neighbours, then accumulator-wide codes.
+        const std::int64_t half = std::int64_t{1} << (from - to - 1);
+        for (std::int64_t k = -3; k <= 3; ++k) {
+          const std::int64_t tie = (2 * k + 1) * half;
+          codes.insert(codes.end(), {tie - 1, tie, tie + 1});
+        }
+        codes.insert(codes.end(), wide.begin(), wide.end());
+      } else {
+        // Gaining bits is an exact shift: every code whose shifted value
+        // stays inside int64.
+        for (const std::int64_t code : wide) {
+          if (code >= std::numeric_limits<std::int32_t>::min() &&
+              code <= std::numeric_limits<std::int32_t>::max()) {
+            codes.push_back(code);
+          }
+        }
+      }
+      for (const std::int64_t code : codes) {
+        ASSERT_EQ(realign_code(code, from, to),
+                  ldexp_realign_code(code, from, to))
+            << "code " << code << " from " << from << " to " << to;
+      }
+    }
+  }
 }
 
 TEST(FixedPoint, DataTypeHelpers) {
