@@ -615,6 +615,9 @@ int main(int argc, char** argv) {
                               condor::nn::kernels::cpu_feature_string());
   benchmark::AddCustomContext(
       "host_threads", std::to_string(std::thread::hardware_concurrency()));
+  // Condor's own build; library_build_type describes google-benchmark.
+  benchmark::AddCustomContext("condor_build_type", CONDOR_BUILD_TYPE);
+  benchmark::AddCustomContext("condor_cxx_flags", CONDOR_CXX_FLAGS);
   // The cooperative scheduler is the only scheduler; recorded so older
   // BENCH json rows (which carried a scheduler switch) stay comparable.
   benchmark::AddCustomContext("scheduler", "coop");

@@ -13,6 +13,7 @@
 #include "condor/flow.hpp"
 #include "condor/report.hpp"
 #include "hw/dse.hpp"
+#include "nn/kernels_simd.hpp"
 #include "nn/models.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
@@ -501,6 +502,9 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
       static_cast<unsigned long long>(module_blocks),
       static_cast<unsigned long long>(blocked_reads),
       static_cast<unsigned long long>(blocked_writes));
+  out << strings::format("kernels: %s (CPU: %s)\n",
+                         std::string(run_stats.simd_level).c_str(),
+                         nn::kernels::cpu_feature_string().c_str());
   out << strings::format(
       "weights streamed: %llu bytes (resident after the first run), "
       "images in flight (peak): %llu\n",

@@ -102,6 +102,20 @@ void scalar_inner_product(Acc* acc, std::size_t out_count,
   }
 }
 
+/// choose_format's max-abs scan, fused with quantize_span's per-element
+/// loop when `codes` is given.
+float scalar_quantize(const float* values, std::size_t count, double scale,
+                      double min_code, double max_code, std::int32_t* codes) {
+  float max_abs = 0.0F;
+  for (std::size_t i = 0; i < count; ++i) {
+    max_abs = std::max(max_abs, std::abs(values[i]));
+    if (codes != nullptr) {
+      codes[i] = quantize_scaled(values[i], scale, min_code, max_code);
+    }
+  }
+  return max_abs;
+}
+
 }  // namespace
 
 const IsaKernels& scalar_kernels() noexcept {
@@ -112,6 +126,7 @@ const IsaKernels& scalar_kernels() noexcept {
       &scalar_inner_product<float, float>,
       &scalar_inner_product<std::int32_t, std::int64_t>,
       &scalar_inner_product<std::int32_t, std::int32_t>,
+      &scalar_quantize,
   };
   return kTable;
 }

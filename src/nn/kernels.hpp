@@ -24,6 +24,13 @@
 //                     mid-sum)
 //   fixed8  datapath: T = std::int32_t, Acc = std::int32_t  (widened int32)
 //
+// The fixed8 instantiation requires every tap code and weight to fit int16
+// (fixed8 codes lie in [-128, 127]). Its SIMD levels multiply two taps per
+// instruction: the weights of taps t and t+1 (rows h and h+1 of the inner
+// product) are interleaved on the fly into int16 pairs, the matching input
+// codes are broadcast as one pair, and pmaddwd sums both products into each
+// int32 lane. The packed layout is the same for every datapath.
+//
 // Only these combinations are instantiated (explicitly, in kernels.cpp,
 // which is compiled -O3 — the templates have no inline definitions here so
 // every caller links against the optimized instantiations).
@@ -93,6 +100,8 @@ std::vector<T> unpack_inner_product_weights(std::span<const T> packed,
 /// The j-loop is contiguous in both `acc` and `packed`, so it vectorizes;
 /// per output element the adds still arrive in (ky, kx) order. Products
 /// are formed in `Acc` (widening first for the integer datapaths).
+/// Precondition for T = Acc = int32 (fixed8): tap codes and weights fit
+/// int16.
 template <typename T, typename Acc>
 void conv_accumulate_row(Acc* acc, std::size_t oc_count, std::size_t out_w,
                          const T* const* taps, std::size_t tap_count,
@@ -105,6 +114,7 @@ void conv_accumulate_row(Acc* acc, std::size_t oc_count, std::size_t out_w,
 ///
 /// `acc` must be seeded (bias or zero) by the caller; adds arrive in
 /// ascending-h order, matching the scalar row-dot-product chain exactly.
+/// Precondition for T = Acc = int32 (fixed8): x and the weights fit int16.
 template <typename T, typename Acc>
 void inner_product_accumulate(Acc* acc, std::size_t out_count,
                               const T* x, std::size_t in_count,

@@ -68,6 +68,7 @@ void ActiveKernels::install(SimdLevel requested) noexcept {
   ip_f32.store(table->ip_f32, std::memory_order_relaxed);
   ip_i32_i64.store(table->ip_i32_i64, std::memory_order_relaxed);
   ip_i32_i32.store(table->ip_i32_i32, std::memory_order_relaxed);
+  quantize.store(table->quantize, std::memory_order_relaxed);
   level.store(lvl, std::memory_order_release);
 }
 
@@ -104,7 +105,8 @@ bool parse_simd_level(std::string_view name, SimdLevel& out) noexcept {
 }
 
 SimdLevel max_supported_simd_level() noexcept {
-  if (detail::avx512_kernels() != nullptr && CONDOR_CPU_HAS("avx512f")) {
+  if (detail::avx512_kernels() != nullptr && CONDOR_CPU_HAS("avx512f") &&
+      CONDOR_CPU_HAS("avx512bw")) {
     return SimdLevel::kAvx512;
   }
   if (detail::avx2_kernels() != nullptr && CONDOR_CPU_HAS("avx2") &&

@@ -1,13 +1,21 @@
 // Runtime SIMD dispatch for the packed MAC microkernels (nn/kernels.hpp).
 //
-// The shared `conv_accumulate_row` / `inner_product_accumulate` kernels are
-// implemented at three ISA levels:
+// The shared `conv_accumulate_row` / `inner_product_accumulate` kernels, and
+// the layer-boundary quantize kernel behind nn::choose_format and
+// nn::quantize_span, are implemented at three ISA levels:
 //
 //   scalar   the portable `acc[j] += w[j] * x` sweeps in kernels.cpp
 //            (compiled -O3; the baseline-ISA auto-vectorized fallback)
 //   avx2     explicit 256-bit register-blocked variants (kernels_simd_avx2.cpp,
 //            compiled -mavx2 -mfma per file)
-//   avx512   512-bit variants (kernels_simd_avx512.cpp, -mavx512f per file)
+//   avx512   512-bit variants (kernels_simd_avx512.cpp, -mavx512f -mavx512bw
+//            per file; the level needs a CPU with both AVX512F and AVX512BW)
+//
+// The fixed8 (int32, int32) MAC kernels run two taps per pmaddwd on int16
+// pairs (see nn/kernels.hpp); the float and fixed16 kernels run one tap
+// per multiply. The quantize kernel fuses the max-abs scan with the
+// per-element quantize_scaled step (exact power-of-two multiply, then a
+// separate +-0.5 add, truncation, clamp; NaN maps to code 0).
 //
 // One level is selected once at startup: the `CONDOR_SIMD` environment
 // variable (`scalar`, `avx2` or `avx512`) when set, clamped to what the CPU
@@ -16,16 +24,18 @@
 // templates — the golden reference, the dataflow PEs, the benches — goes
 // through this dispatch, so the whole stack switches together.
 //
-// Bit-exactness across levels: the vector variants vectorize ONLY across
-// the independent output-channel `j` loop; each output element's
+// Bit-exactness across levels: the float vector variants vectorize ONLY
+// across the independent output-channel `j` loop; each output element's
 // accumulation chain (bias seed, then (ic, ky, kx)- or ascending-h-ordered
 // multiply-then-add, one rounding per operation) is untouched. The SIMD
 // translation units and the scalar fallback are compiled with
 // -ffp-contract=off so no level fuses the multiply and the add into an FMA
 // (a single-rounding contraction would break cross-level byte equality).
-// Integer accumulation is exact at any order. kernel_dispatch_test proves
-// byte equality of every compiled-in level against scalar, at the kernel
-// and the full-executor level.
+// Integer accumulation is exact at any order, which is what lets the fixed8
+// kernels sum two taps before the add. kernel_dispatch_test proves byte
+// equality of every compiled-in level against scalar, at the kernel and the
+// full-executor level; quantization_test runs the quantize property tests
+// at every level.
 #pragma once
 
 #include <cstddef>

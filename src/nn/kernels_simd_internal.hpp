@@ -1,22 +1,63 @@
 // Internals shared by the SIMD dispatch (kernels_simd.cpp), the scalar
-// fallback (kernels.cpp) and the per-ISA translation units. Not part of the
-// public kernel API.
+// fallback (kernels.cpp), the numeric helpers (numeric.cpp) and the per-ISA
+// translation units. Not part of the public kernel API.
 //
-// Each ISA translation unit exports one IsaKernels table of the six raw
-// kernel entry points (3 type combinations x 2 kernels); the getters return
-// nullptr when the variant is not compiled in (non-x86 target, or the
-// compiler lacks the flag). The generic register-blocked loop bodies live
-// here as templates over a Traits type so the AVX2 and AVX-512 units share
-// one implementation, each instantiated under its own per-file ISA flags.
+// Each ISA translation unit exports one IsaKernels table of seven raw entry
+// points: the two MAC kernels for each of the three type combinations, plus
+// the layer-boundary quantize kernel. The getters return nullptr when the
+// variant is not compiled in (non-x86 target, or the compiler lacks the
+// flag). The generic register-blocked loop bodies live here as templates
+// over a Traits type so the AVX2 and AVX-512 units share one
+// implementation, each instantiated under its own per-file ISA flags.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <type_traits>
 
 #include "nn/kernels_simd.hpp"
+#include "nn/numeric.hpp"
 
 namespace condor::nn::kernels::detail {
+
+/// The layer-boundary quantize kernel behind nn::choose_format and
+/// nn::quantize_span (nn/numeric.hpp). Returns max |values[i]|, skipping
+/// NaN elements as std::max does. When `codes` is non-null it also writes
+/// codes[i] = quantize_scaled(values[i], scale, min_code, max_code).
+using QuantizeFn = float (*)(const float* values, std::size_t count,
+                             double scale, double min_code, double max_code,
+                             std::int32_t* codes);
+
+/// Rounds a scaled value half away from zero in the double domain:
+/// floor(x + 0.5) for x >= 0, ceil(x - 0.5) below. Double holds every int32
+/// code and every float input times 2^30 exactly, so the tie test itself is
+/// exact. Truncating the shifted value is that floor/ceil, and every double
+/// of magnitude >= 2^52 is already integral, so the int64 round trip below
+/// 2^62 replaces the two libm calls without changing a result (a zero may
+/// come back unsigned, which no caller can observe; NaN stays NaN).
+inline double round_half_away(double scaled) noexcept {
+  const double shifted = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
+  constexpr double kIntegral = exact_pow2(62);
+  return std::abs(shifted) < kIntegral
+             ? static_cast<double>(static_cast<std::int64_t>(shifted))
+             : shifted;
+}
+
+/// The one quantization step of the fixed datapath: `value` times the exact
+/// power of two `scale` (an exact product, so no FMA question arises),
+/// rounded half away from zero, saturated to [min_code, max_code]. NaN maps
+/// to code 0 (std::clamp passes NaN through, and casting it is undefined).
+/// Every vector quantize kernel reproduces this bit for bit.
+inline std::int32_t quantize_scaled(float value, double scale, double min_code,
+                                    double max_code) noexcept {
+  const double rounded = round_half_away(static_cast<double>(value) * scale);
+  if (std::isnan(rounded)) {
+    return 0;
+  }
+  return static_cast<std::int32_t>(std::clamp(rounded, min_code, max_code));
+}
 
 /// One ISA's kernel entry points.
 struct IsaKernels {
@@ -26,6 +67,7 @@ struct IsaKernels {
   InnerProductFn<float, float> ip_f32 = nullptr;
   InnerProductFn<std::int32_t, std::int64_t> ip_i32_i64 = nullptr;
   InnerProductFn<std::int32_t, std::int32_t> ip_i32_i32 = nullptr;
+  QuantizeFn quantize = nullptr;
 };
 
 /// The portable fallback (kernels.cpp). Always fully populated.
@@ -73,6 +115,7 @@ struct ActiveKernels {
   std::atomic<InnerProductFn<float, float>> ip_f32{nullptr};
   std::atomic<InnerProductFn<std::int32_t, std::int64_t>> ip_i32_i64{nullptr};
   std::atomic<InnerProductFn<std::int32_t, std::int32_t>> ip_i32_i32{nullptr};
+  std::atomic<QuantizeFn> quantize{nullptr};
 };
 
 ActiveKernels& active_kernels() noexcept;
@@ -98,6 +141,10 @@ inline InnerProductFn<T, Acc> active_inner_product() noexcept {
   } else {
     return a.ip_i32_i32.load(std::memory_order_relaxed);
   }
+}
+
+inline QuantizeFn active_quantize() noexcept {
+  return active_kernels().quantize.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,6 +318,211 @@ void inner_product_impl(typename Tr::Acc* acc, std::size_t out_count,
     const Elem* const w = packed + h * packed_stride;
     for (std::size_t jj = j; jj < out_count; ++jj) {
       acc[jj] += static_cast<Acc>(w[jj]) * xv;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// fixed8 datapath (T = Acc = int32): two taps per multiply.
+//
+// fixed8 codes fit int16, so the MAC runs on int16 pairs: the weights of
+// taps t and t+1 (rows h and h+1 for the inner product) of the unchanged
+// packed layout are interleaved on the fly into one vector of int16 pairs,
+// the matching input codes are broadcast as one (x_t, x_t+1) pair, and one
+// pmaddwd forms w_t * x_t + w_t+1 * x_t+1 in every int32 lane. Integer sums
+// are exact and wrap identically at any order, so every level stays
+// byte-equal to scalar. An odd last tap pairs with a zero code: the
+// sign-extended int32 weight lane already holds the code in its low half.
+// Output-channel tails run as masked vectors. Tr provides:
+//
+//   Vec, Mask, kWidth          int32 lanes per vector
+//   tail_mask(n)               the first n < kWidth lanes
+//   load(p) / load(p, m)       plain / masked int32 loads (masked lanes 0)
+//   store(p, v) / store(p, v, m)
+//   pair(lo, hi)               int32 lanes -> int16 pairs (lo_k, hi_k)
+//   splat(xp)                  broadcast one packed input pair
+//   madd(acc, w, x)            acc + pmaddwd(w, x)
+// ---------------------------------------------------------------------------
+
+/// One (x_lo, x_hi) int16 input pair in a 32-bit word, low code first.
+inline std::int32_t pack_code_pair(std::int32_t lo, std::int32_t hi) noexcept {
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+      (static_cast<std::uint32_t>(hi) << 16));
+}
+
+/// Loads/stores vector k of a kVecs-wide tile; only the last vector of a
+/// kTail tile is masked.
+template <typename Tr, std::size_t kVecs, bool kTail>
+inline typename Tr::Vec fixed8_load(const std::int32_t* p, std::size_t k,
+                                    typename Tr::Mask tail) noexcept {
+  if constexpr (kTail) {
+    if (k + 1 == kVecs) {
+      return Tr::load(p, tail);
+    }
+  }
+  return Tr::load(p);
+}
+template <typename Tr, std::size_t kVecs, bool kTail>
+inline void fixed8_store(std::int32_t* p, std::size_t k, typename Tr::Vec v,
+                         typename Tr::Mask tail) noexcept {
+  if constexpr (kTail) {
+    if (k + 1 == kVecs) {
+      Tr::store(p, v, tail);
+      return;
+    }
+  }
+  Tr::store(p, v);
+}
+
+/// kPoints output columns starting at `ox` x kVecs oc vectors starting at
+/// `j`, accumulated over every tap with the accumulators held in registers.
+template <typename Tr, std::size_t kPoints, std::size_t kVecs, bool kTail>
+void fixed8_conv_tile(std::int32_t* acc, std::size_t oc_count, std::size_t ox,
+                      std::size_t j, typename Tr::Mask tail,
+                      const std::int32_t* const* taps, std::size_t tap_count,
+                      std::size_t x_stride, const std::int32_t* packed,
+                      std::size_t packed_stride) {
+  using Vec = typename Tr::Vec;
+  constexpr std::size_t W = Tr::kWidth;
+  Vec v[kPoints][kVecs];
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kPoints; ++p) {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      v[p][k] = fixed8_load<Tr, kVecs, kTail>(
+          acc + (ox + p) * oc_count + j + k * W, k, tail);
+    }
+  }
+  const std::size_t x0 = ox * x_stride;
+  std::size_t t = 0;
+  for (; t + 1 < tap_count; t += 2) {
+    const std::int32_t* const w0 = packed + t * packed_stride + j;
+    const std::int32_t* const w1 = w0 + packed_stride;
+    Vec w[kVecs];
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      w[k] = Tr::pair(fixed8_load<Tr, kVecs, kTail>(w0 + k * W, k, tail),
+                      fixed8_load<Tr, kVecs, kTail>(w1 + k * W, k, tail));
+    }
+    const std::int32_t* const r0 = taps[t] + x0;
+    const std::int32_t* const r1 = taps[t + 1] + x0;
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < kPoints; ++p) {
+      const Vec x =
+          Tr::splat(pack_code_pair(r0[p * x_stride], r1[p * x_stride]));
+#pragma GCC unroll 4
+      for (std::size_t k = 0; k < kVecs; ++k) {
+        v[p][k] = Tr::madd(v[p][k], w[k], x);
+      }
+    }
+  }
+  if (t < tap_count) {
+    const std::int32_t* const w0 = packed + t * packed_stride + j;
+    Vec w[kVecs];
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      w[k] = fixed8_load<Tr, kVecs, kTail>(w0 + k * W, k, tail);
+    }
+    const std::int32_t* const r0 = taps[t] + x0;
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < kPoints; ++p) {
+      const Vec x = Tr::splat(pack_code_pair(r0[p * x_stride], 0));
+#pragma GCC unroll 4
+      for (std::size_t k = 0; k < kVecs; ++k) {
+        v[p][k] = Tr::madd(v[p][k], w[k], x);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < kPoints; ++p) {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      fixed8_store<Tr, kVecs, kTail>(acc + (ox + p) * oc_count + j + k * W, k,
+                                     v[p][k], tail);
+    }
+  }
+}
+
+/// Every oc vector of kPoints output columns: 2-vector register blocks,
+/// then one tile for the remainder with its last vector masked.
+template <typename Tr, std::size_t kPoints>
+void fixed8_conv_points(std::int32_t* acc, std::size_t oc_count,
+                        std::size_t ox, const std::int32_t* const* taps,
+                        std::size_t tap_count, std::size_t x_stride,
+                        const std::int32_t* packed, std::size_t packed_stride) {
+  constexpr std::size_t W = Tr::kWidth;
+  std::size_t j = 0;
+  for (; j + 2 * W <= oc_count; j += 2 * W) {
+    fixed8_conv_tile<Tr, kPoints, 2, false>(acc, oc_count, ox, j,
+                                            Tr::tail_mask(0), taps, tap_count,
+                                            x_stride, packed, packed_stride);
+  }
+  const std::size_t rest = oc_count - j;
+  if (rest > W) {
+    fixed8_conv_tile<Tr, kPoints, 2, true>(acc, oc_count, ox, j,
+                                           Tr::tail_mask(rest - W), taps,
+                                           tap_count, x_stride, packed,
+                                           packed_stride);
+  } else if (rest == W) {
+    fixed8_conv_tile<Tr, kPoints, 1, false>(acc, oc_count, ox, j,
+                                            Tr::tail_mask(0), taps, tap_count,
+                                            x_stride, packed, packed_stride);
+  } else if (rest > 0) {
+    fixed8_conv_tile<Tr, kPoints, 1, true>(acc, oc_count, ox, j,
+                                           Tr::tail_mask(rest), taps,
+                                           tap_count, x_stride, packed,
+                                           packed_stride);
+  }
+}
+
+template <typename Tr>
+void fixed8_conv_row_impl(std::int32_t* acc, std::size_t oc_count,
+                          std::size_t out_w, const std::int32_t* const* taps,
+                          std::size_t tap_count, std::size_t x_stride,
+                          const std::int32_t* packed,
+                          std::size_t packed_stride) {
+  std::size_t ox = 0;
+  for (; ox + 4 <= out_w; ox += 4) {
+    fixed8_conv_points<Tr, 4>(acc, oc_count, ox, taps, tap_count, x_stride,
+                              packed, packed_stride);
+  }
+  for (; ox < out_w; ++ox) {
+    fixed8_conv_points<Tr, 1>(acc, oc_count, ox, taps, tap_count, x_stride,
+                              packed, packed_stride);
+  }
+}
+
+/// Row pairs outermost: each (h, h+1) pair streams its two weight rows once
+/// across the whole `acc` tile, which stays cache-resident. (Register
+/// blocking over h would walk each weight column at twice the row stride,
+/// past what the hardware stride prefetcher follows.)
+template <typename Tr>
+void fixed8_inner_product_impl(std::int32_t* acc, std::size_t out_count,
+                               const std::int32_t* x, std::size_t in_count,
+                               const std::int32_t* packed,
+                               std::size_t packed_stride) {
+  using Vec = typename Tr::Vec;
+  constexpr std::size_t W = Tr::kWidth;
+  const std::size_t full = out_count - out_count % W;
+  const typename Tr::Mask tail = Tr::tail_mask(out_count - full);
+  for (std::size_t h = 0; h < in_count; h += 2) {
+    const std::int32_t* const w0 = packed + h * packed_stride;
+    // An odd last row pairs with a zero code; its weight lane is used as is.
+    const bool paired = h + 1 < in_count;
+    const std::int32_t* const w1 = paired ? w0 + packed_stride : nullptr;
+    const Vec xv = Tr::splat(pack_code_pair(x[h], paired ? x[h + 1] : 0));
+    std::size_t j = 0;
+    for (; j < full; j += W) {
+      const Vec w = paired ? Tr::pair(Tr::load(w0 + j), Tr::load(w1 + j))
+                           : Tr::load(w0 + j);
+      Tr::store(acc + j, Tr::madd(Tr::load(acc + j), w, xv));
+    }
+    if (j < out_count) {
+      const Vec w = paired ? Tr::pair(Tr::load(w0 + j, tail),
+                                      Tr::load(w1 + j, tail))
+                           : Tr::load(w0 + j, tail);
+      Tr::store(acc + j, Tr::madd(Tr::load(acc + j, tail), w, xv), tail);
     }
   }
 }

@@ -1,36 +1,14 @@
 #include "nn/numeric.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
+#include "nn/kernels_simd_internal.hpp"
+
 namespace condor::nn {
-namespace {
 
-// Rounds a scaled value half away from zero in the double domain:
-// floor(x + 0.5) for x >= 0, ceil(x - 0.5) below. Double holds every int32
-// code and every float input times 2^30 exactly, so the tie test itself is
-// exact. Truncating the shifted value is that floor/ceil, and every double
-// of magnitude >= 2^52 is already integral, so the int64 round trip below
-// 2^62 replaces the two libm calls without changing a result (a zero may
-// come back unsigned, which no caller can observe; NaN stays NaN).
-double round_half_away(double scaled) noexcept {
-  const double shifted = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-  constexpr double kIntegral = exact_pow2(62);
-  return std::abs(shifted) < kIntegral
-             ? static_cast<double>(static_cast<std::int64_t>(shifted))
-             : shifted;
-}
-
-/// The one quantization step behind quantize_code and quantize_span:
-/// `value` times the exact power of two `scale`, rounded, saturated.
-std::int32_t quantize_scaled(float value, double scale, double min_code,
-                             double max_code) noexcept {
-  const double rounded = round_half_away(static_cast<double>(value) * scale);
-  return static_cast<std::int32_t>(std::clamp(rounded, min_code, max_code));
-}
-
-}  // namespace
+using kernels::detail::quantize_scaled;
+using kernels::detail::round_half_away;
 
 std::string_view to_string(DataType type) noexcept {
   switch (type) {
@@ -118,10 +96,8 @@ std::int64_t realign_code(std::int64_t code, int from_frac, int to_frac) noexcep
 
 FixedPointFormat choose_format(std::span<const float> values,
                                int total_bits) noexcept {
-  float max_abs = 0.0F;
-  for (float v : values) {
-    max_abs = std::max(max_abs, std::abs(v));
-  }
+  const float max_abs = kernels::detail::active_quantize()(
+      values.data(), values.size(), 0.0, 0.0, 0.0, nullptr);
   FixedPointFormat format{total_bits, total_bits - 1};
   if (max_abs == 0.0F) {
     return format;  // all-fractional: zeros fit any placement
@@ -149,13 +125,11 @@ FixedPointFormat quantize_tensor(Tensor& tensor, int total_bits) noexcept {
 FixedPointFormat quantize_span(std::span<const float> values, int total_bits,
                                std::vector<std::int32_t>& codes) {
   const FixedPointFormat format = choose_format(values, total_bits);
-  const double scale = exact_pow2(format.frac_bits);
-  const auto min_code = static_cast<double>(format.min_code());
-  const auto max_code = static_cast<double>(format.max_code());
   codes.resize(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    codes[i] = quantize_scaled(values[i], scale, min_code, max_code);
-  }
+  kernels::detail::active_quantize()(
+      values.data(), values.size(), exact_pow2(format.frac_bits),
+      static_cast<double>(format.min_code()),
+      static_cast<double>(format.max_code()), codes.data());
   return format;
 }
 

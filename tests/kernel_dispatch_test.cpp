@@ -4,7 +4,9 @@
 //  1. Kernel level — every compiled-in dispatch variant of the packed MAC
 //     microkernels is compared byte-for-byte against the scalar kernel over
 //     an edge-case shape grid (oc counts straddling the vector widths,
-//     out_w == 0, tap_count == 0, strided taps, empty inner products).
+//     out_w == 0, tap_count == 0, strided taps, empty inner products). The
+//     fixed8 int16-pair kernels get a denser grid at the int8 code extremes:
+//     unpaired last taps and rows, every oc count up to 67, lane slices.
 //  2. Executor level — full accelerator runs of the same plan produce
 //     byte-identical outputs when the process dispatch is pinned to each
 //     available level (float32, fixed16 and fixed8 datapaths, at several
@@ -91,11 +93,14 @@ void expect_bytes_equal(const std::vector<Acc>& got,
 }
 
 /// Runs the conv row kernel of every available level over one shape and
-/// compares against the scalar result byte-for-byte.
-template <typename T, typename Acc>
-void check_conv_shape(std::size_t oc_count, std::size_t out_w,
-                      std::size_t tap_count, std::size_t x_stride,
-                      std::uint64_t seed) {
+/// compares against the scalar result byte-for-byte. Tap and weight values
+/// come from `source(count, rng)`; a `packed_stride` wider than `oc_count`
+/// is the oc-sliced lane case.
+template <typename T, typename Acc, typename Source>
+void check_conv_shape(std::size_t oc_count, std::size_t packed_stride,
+                      std::size_t out_w, std::size_t tap_count,
+                      std::size_t x_stride, std::uint64_t seed,
+                      Source source) {
   Rng rng(seed);
   // Tap rows: each must cover out_w strided reads.
   const std::size_t row_len = out_w == 0 ? 1 : out_w * x_stride;
@@ -103,13 +108,11 @@ void check_conv_shape(std::size_t oc_count, std::size_t out_w,
   std::vector<const T*> taps;
   rows.reserve(tap_count);
   for (std::size_t t = 0; t < tap_count; ++t) {
-    rows.push_back(random_vector<T>(row_len, rng));
+    rows.push_back(source(row_len, rng));
     taps.push_back(rows.back().data());
   }
-  // Weight block with a stride wider than the tile (oc-sliced lane case).
-  const std::size_t packed_stride = oc_count + 3;
   const std::vector<T> packed =
-      random_vector<T>(std::max<std::size_t>(tap_count, 1) * packed_stride, rng);
+      source(std::max<std::size_t>(tap_count, 1) * packed_stride, rng);
   const std::vector<Acc> seed_acc =
       random_vector<Acc>(std::max<std::size_t>(oc_count * out_w, 1), rng);
 
@@ -128,20 +131,22 @@ void check_conv_shape(std::size_t oc_count, std::size_t out_w,
            packed.data(), packed_stride);
     SCOPED_TRACE(::testing::Message()
                  << "level=" << nn::kernels::to_string(level)
-                 << " oc=" << oc_count << " out_w=" << out_w
-                 << " taps=" << tap_count << " x_stride=" << x_stride);
+                 << " oc=" << oc_count << " packed_stride=" << packed_stride
+                 << " out_w=" << out_w << " taps=" << tap_count
+                 << " x_stride=" << x_stride);
     expect_bytes_equal(got, want, "conv_accumulate_row");
   }
 }
 
-template <typename T, typename Acc>
-void check_inner_product_shape(std::size_t out_count, std::size_t in_count,
-                               std::uint64_t seed) {
+template <typename T, typename Acc, typename Source>
+void check_inner_product_shape(std::size_t out_count,
+                               std::size_t packed_stride,
+                               std::size_t in_count, std::uint64_t seed,
+                               Source source) {
   Rng rng(seed);
-  const std::vector<T> x = random_vector<T>(std::max<std::size_t>(in_count, 1), rng);
-  const std::size_t packed_stride = out_count + 5;
-  const std::vector<T> packed = random_vector<T>(
-      std::max<std::size_t>(in_count, 1) * packed_stride, rng);
+  const std::vector<T> x = source(std::max<std::size_t>(in_count, 1), rng);
+  const std::vector<T> packed =
+      source(std::max<std::size_t>(in_count, 1) * packed_stride, rng);
   const std::vector<Acc> seed_acc =
       random_vector<Acc>(std::max<std::size_t>(out_count, 1), rng);
 
@@ -159,7 +164,8 @@ void check_inner_product_shape(std::size_t out_count, std::size_t in_count,
            packed_stride);
     SCOPED_TRACE(::testing::Message()
                  << "level=" << nn::kernels::to_string(level)
-                 << " out=" << out_count << " in=" << in_count);
+                 << " out=" << out_count << " packed_stride=" << packed_stride
+                 << " in=" << in_count);
     expect_bytes_equal(got, want, "inner_product_accumulate");
   }
 }
@@ -177,7 +183,8 @@ void sweep_conv_shapes() {
     for (const std::size_t w : out_ws) {
       for (const std::size_t t : tap_counts) {
         for (const std::size_t s : strides) {
-          check_conv_shape<T, Acc>(oc, w, t, s, seed++);
+          check_conv_shape<T, Acc>(oc, oc + 3, w, t, s, seed++,
+                                   random_vector<T>);
         }
       }
     }
@@ -191,9 +198,45 @@ void sweep_inner_product_shapes() {
   std::uint64_t seed = 1000;
   for (const std::size_t out : out_counts) {
     for (const std::size_t in : in_counts) {
-      check_inner_product_shape<T, Acc>(out, in, seed++);
+      check_inner_product_shape<T, Acc>(out, out + 5, in, seed++,
+                                        random_vector<T>);
     }
   }
+}
+
+/// Code fills for the fixed8 pair kernels: random codes, every code at one
+/// end of the int8 range, or a random mix of both ends.
+enum class CodeFill { kRandom, kAllMin, kAllMax, kMixedExtremes };
+constexpr CodeFill kCodeFills[] = {CodeFill::kRandom, CodeFill::kAllMin,
+                                   CodeFill::kAllMax, CodeFill::kMixedExtremes};
+
+std::vector<std::int32_t> fixed8_codes(std::size_t count, CodeFill fill,
+                                       Rng& rng) {
+  std::vector<std::int32_t> codes(count);
+  for (std::int32_t& c : codes) {
+    switch (fill) {
+      case CodeFill::kRandom:
+        c = random_value<std::int32_t>(rng);
+        break;
+      case CodeFill::kAllMin:
+        c = -128;
+        break;
+      case CodeFill::kAllMax:
+        c = 127;
+        break;
+      case CodeFill::kMixedExtremes:
+        c = (rng.next_u64() & 1U) != 0 ? 127 : -128;
+        break;
+    }
+  }
+  return codes;
+}
+
+/// A check_*_shape value source drawing `fill` codes.
+auto codes_of(CodeFill fill) {
+  return [fill](std::size_t count, Rng& rng) {
+    return fixed8_codes(count, fill, rng);
+  };
 }
 
 TEST(KernelDispatch, LevelNamesRoundTrip) {
@@ -270,6 +313,44 @@ TEST(KernelDispatch, ConvFixed16MatchesScalarByteForByte) {
 
 TEST(KernelDispatch, ConvFixed8MatchesScalarByteForByte) {
   sweep_conv_shapes<std::int32_t, std::int32_t>();
+}
+
+/// The pair kernels at the fixed8 code extremes, paired and unpaired last
+/// taps (1, 2, 3, 9, 25, 49 — the 1x1 to 7x7 windows), every oc count up to
+/// 67 as a whole block and as a lane slice of a wider one, 4-point blocks
+/// plus a remainder point, and strided tap rows.
+TEST(KernelDispatch, ConvFixed8PairKernelsMatchScalarAtCodeExtremes) {
+  const std::size_t tap_counts[] = {1, 2, 3, 9, 25, 49};
+  std::uint64_t seed = 5000;
+  for (const CodeFill fill : kCodeFills) {
+    for (const std::size_t taps : tap_counts) {
+      for (std::size_t oc = 1; oc <= 67; ++oc) {
+        for (const std::size_t stride : {oc, oc + 5}) {
+          for (const std::size_t x_stride : {std::size_t{1}, std::size_t{2}}) {
+            check_conv_shape<std::int32_t, std::int32_t>(
+                oc, stride, 5, taps, x_stride, seed++, codes_of(fill));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Odd and even input counts (an unpaired last row) over every output
+/// count up to 67, whole and sliced, at the fixed8 code extremes.
+TEST(KernelDispatch, InnerProductFixed8PairKernelsMatchScalarAtCodeExtremes) {
+  const std::size_t in_counts[] = {0, 1, 2, 3, 8, 37, 64, 129};
+  std::uint64_t seed = 9000;
+  for (const CodeFill fill : kCodeFills) {
+    for (const std::size_t in : in_counts) {
+      for (std::size_t out = 1; out <= 67; ++out) {
+        for (const std::size_t stride : {out, out + 5}) {
+          check_inner_product_shape<std::int32_t, std::int32_t>(
+              out, stride, in, seed++, codes_of(fill));
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelDispatch, InnerProductFloatMatchesScalarByteForByte) {

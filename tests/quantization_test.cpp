@@ -12,6 +12,7 @@
 #include "dataflow/executor.hpp"
 #include "hw/accel_plan.hpp"
 #include "hw/dse.hpp"
+#include "nn/kernels_simd.hpp"
 #include "nn/models.hpp"
 #include "nn/quantization.hpp"
 #include "nn/reference.hpp"
@@ -20,6 +21,25 @@
 
 namespace condor::nn {
 namespace {
+
+/// Runs `body` once per SIMD level this host supports, with the process
+/// dispatch pinned to it: quantize_span and choose_format run the pinned
+/// level's quantize kernel. Restores the previous level.
+template <typename Body>
+void for_each_simd_level(Body body) {
+  const kernels::SimdLevel previous = kernels::active_simd_level();
+  for (const kernels::SimdLevel level :
+       {kernels::SimdLevel::kScalar, kernels::SimdLevel::kAvx2,
+        kernels::SimdLevel::kAvx512}) {
+    if (kernels::set_active_simd_level_for_testing(level) != level) {
+      continue;
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "simd level " << kernels::to_string(level));
+    body();
+  }
+  kernels::set_active_simd_level_for_testing(previous);
+}
 
 TEST(FixedPoint, FormatProperties) {
   const FixedPointFormat q12{16, 12};
@@ -52,21 +72,23 @@ TEST(FixedPoint, QuantizationIsIdempotent) {
 }
 
 TEST(FixedPoint, ChooseFormatFitsRange) {
-  const std::vector<float> small = {0.1F, -0.3F, 0.25F};
-  const FixedPointFormat f_small = choose_format(small, 16);
-  EXPECT_EQ(f_small.frac_bits, 15);  // all-fractional fits |x| < 1
+  for_each_simd_level([] {
+    const std::vector<float> small = {0.1F, -0.3F, 0.25F};
+    const FixedPointFormat f_small = choose_format(small, 16);
+    EXPECT_EQ(f_small.frac_bits, 15);  // all-fractional fits |x| < 1
 
-  const std::vector<float> big = {100.0F, -3.0F};
-  const FixedPointFormat f_big = choose_format(big, 16);
-  EXPECT_GE(f_big.max_value(), 100.0F);
-  // Every input representable without saturation error beyond half-step.
-  for (const float v : big) {
-    EXPECT_LE(std::fabs(quantize_value(v, f_big) - v),
-              f_big.resolution() / 2.0F + 1e-6F);
-  }
+    const std::vector<float> big = {100.0F, -3.0F};
+    const FixedPointFormat f_big = choose_format(big, 16);
+    EXPECT_GE(f_big.max_value(), 100.0F);
+    // Every input representable without saturation error beyond half-step.
+    for (const float v : big) {
+      EXPECT_LE(std::fabs(quantize_value(v, f_big) - v),
+                f_big.resolution() / 2.0F + 1e-6F);
+    }
 
-  const std::vector<float> zeros = {0.0F, 0.0F};
-  EXPECT_EQ(choose_format(zeros, 8).frac_bits, 7);
+    const std::vector<float> zeros = {0.0F, 0.0F};
+    EXPECT_EQ(choose_format(zeros, 8).frac_bits, 7);
+  });
 }
 
 TEST(FixedPoint, RoundsTiesHalfAwayFromZero) {
@@ -78,26 +100,34 @@ TEST(FixedPoint, RoundsTiesHalfAwayFromZero) {
 }
 
 TEST(FixedPoint, ChooseFormatHandlesPowersOfTwo) {
-  // An exact power of two must not saturate: 2.0 needs frac 13 at 16 bits
-  // (frac 14 would scale to 32768 > max_code 32767).
-  EXPECT_EQ(choose_format(std::vector<float>{2.0F}, 16).frac_bits, 13);
-  // Just below the power of two keeps the extra fractional bit.
-  EXPECT_EQ(choose_format(std::vector<float>{1.99F}, 16).frac_bits, 14);
-  // Negative powers of two are exactly representable in the chosen format.
-  for (const float v : {-1.0F, -0.5F, -0.25F, -0.0625F}) {
-    const FixedPointFormat format = choose_format(std::vector<float>{v}, 16);
-    EXPECT_EQ(quantize_value(v, format), v) << "v = " << v;
-  }
+  for_each_simd_level([] {
+    // An exact power of two must not saturate: 2.0 needs frac 13 at 16 bits
+    // (frac 14 would scale to 32768 > max_code 32767).
+    EXPECT_EQ(choose_format(std::vector<float>{2.0F}, 16).frac_bits, 13);
+    // Just below the power of two keeps the extra fractional bit.
+    EXPECT_EQ(choose_format(std::vector<float>{1.99F}, 16).frac_bits, 14);
+    // Negative powers of two are exactly representable in the chosen
+    // format.
+    for (const float v : {-1.0F, -0.5F, -0.25F, -0.0625F}) {
+      const FixedPointFormat format = choose_format(std::vector<float>{v}, 16);
+      EXPECT_EQ(quantize_value(v, format), v) << "v = " << v;
+    }
+  });
 }
 
 TEST(FixedPoint, ChooseFormatDenormalScaleQuantizesToZero) {
-  // A denormal magnitude cannot be lifted into the code range by any
-  // non-negative frac_bits: the format stays all-fractional and the value
-  // rounds to code zero instead of misbehaving.
-  const std::vector<float> tiny = {1e-40F, -1e-41F};
-  const FixedPointFormat format = choose_format(tiny, 16);
-  EXPECT_EQ(format.frac_bits, 15);
-  EXPECT_FLOAT_EQ(quantize_value(tiny[0], format), 0.0F);
+  for_each_simd_level([] {
+    // A denormal magnitude cannot be lifted into the code range by any
+    // non-negative frac_bits: the format stays all-fractional and the value
+    // rounds to code zero instead of misbehaving.
+    const std::vector<float> tiny = {1e-40F, -1e-41F};
+    const FixedPointFormat format = choose_format(tiny, 16);
+    EXPECT_EQ(format.frac_bits, 15);
+    EXPECT_FLOAT_EQ(quantize_value(tiny[0], format), 0.0F);
+    std::vector<std::int32_t> codes;
+    EXPECT_EQ(quantize_span(tiny, 16, codes).frac_bits, 15);
+    EXPECT_EQ(codes, (std::vector<std::int32_t>{0, 0}));
+  });
 }
 
 TEST(FixedPoint, QuantizeCodeSaturatesAtCodeRange) {
@@ -196,6 +226,21 @@ std::vector<float> quantize_probes(const FixedPointFormat& format, Rng& rng) {
   return probes;
 }
 
+/// quantize_span of `values` must choose the ldexp reference's format and
+/// produce its code for every element.
+void expect_span_matches_ldexp(const std::vector<float>& values, int bits) {
+  std::vector<std::int32_t> codes;
+  const FixedPointFormat format = quantize_span(values, bits, codes);
+  ASSERT_EQ(format.frac_bits, ldexp_choose_frac(values, bits))
+      << bits << "-bit span of " << values.size();
+  ASSERT_EQ(codes.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(codes[i], ldexp_quantize_code(values[i], format))
+        << bits << "-bit span of " << values.size() << " element " << i
+        << " value " << values[i];
+  }
+}
+
 /// Accumulator-width codes: narrow-format extremes, the int32 and int64
 /// extremes, the first integers double cannot hold, and one random code
 /// of each magnitude width, both signs.
@@ -227,24 +272,81 @@ TEST(FixedPoint, QuantizeMatchesLdexpBitForBit) {
             << bits << "-bit frac " << frac << " value " << value;
       }
     }
-    // quantize_span: the chosen format and every code of blobs whose
-    // magnitudes sweep from denormal scale to far past the code range.
-    for (int exponent = -140; exponent <= 120; exponent += 4) {
-      std::vector<float> blob(96);
-      for (float& value : blob) {
-        value = std::ldexp(rng.uniform(-1.0F, 1.0F), exponent);
+    // quantize_span at every level: the chosen format and every code of
+    // blobs whose magnitudes sweep from denormal scale to far past the code
+    // range.
+    for_each_simd_level([bits] {
+      Rng blob_rng(29);
+      for (int exponent = -140; exponent <= 120; exponent += 4) {
+        std::vector<float> blob(96);
+        for (float& value : blob) {
+          value = std::ldexp(blob_rng.uniform(-1.0F, 1.0F), exponent);
+        }
+        expect_span_matches_ldexp(blob, bits);
       }
-      std::vector<std::int32_t> codes;
-      const FixedPointFormat format = quantize_span(blob, bits, codes);
-      ASSERT_EQ(format.frac_bits, ldexp_choose_frac(blob, bits))
-          << bits << "-bit blob at 2^" << exponent;
-      ASSERT_EQ(codes.size(), blob.size());
-      for (std::size_t i = 0; i < blob.size(); ++i) {
-        ASSERT_EQ(codes[i], ldexp_quantize_code(blob[i], format))
-            << bits << "-bit blob at 2^" << exponent << " element " << i;
+    });
+  }
+}
+
+/// Short spans at every level, so each vector width's remainder lanes see
+/// every kind of quantizer input: lengths 0 to 40 drawn from the probe set
+/// (ties, saturation edges, signed zeros, denormals, +-FLT_MAX), once over
+/// finite probes only, so the format follows the data, and once with +-inf
+/// mixed in.
+TEST(FixedPoint, ShortSpansMatchLdexpBitForBit) {
+  for_each_simd_level([] {
+    Rng rng(31);
+    for (const int bits : {8, 16}) {
+      for (const int frac : {0, 3, bits - 1}) {
+        std::vector<float> probes =
+            quantize_probes(FixedPointFormat{bits, frac}, rng);
+        std::vector<float> finite;
+        for (const float p : probes) {
+          if (std::isfinite(p) && std::fabs(p) < 1e6F) {
+            finite.push_back(p);
+          }
+        }
+        for (const std::vector<float>* pool : {&finite, &probes}) {
+          for (std::size_t length = 0; length <= 40; ++length) {
+            std::vector<float> span(length);
+            for (float& v : span) {
+              v = (*pool)[rng.bounded(pool->size())];
+            }
+            expect_span_matches_ldexp(span, bits);
+          }
+        }
       }
     }
-  }
+  });
+}
+
+TEST(FixedPoint, NaNQuantizesToCodeZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(quantize_code(nan, FixedPointFormat{8, 4}), 0);
+  EXPECT_EQ(quantize_code(-nan, FixedPointFormat{16, 0}), 0);
+  for_each_simd_level([nan] {
+    // The max-abs scan skips NaN as std::max does; an all-NaN span keeps
+    // the all-fractional format.
+    std::vector<std::int32_t> codes;
+    EXPECT_EQ(quantize_span(std::vector<float>(19, nan), 8, codes).frac_bits,
+              7);
+    EXPECT_EQ(codes, std::vector<std::int32_t>(19, 0));
+    Rng rng(37);
+    for (std::size_t length = 1; length <= 40; ++length) {
+      std::vector<float> span(length);
+      for (std::size_t i = 0; i < length; ++i) {
+        span[i] = i % 3 == 1 ? nan : rng.uniform(-3.0F, 3.0F);
+      }
+      const FixedPointFormat format = quantize_span(span, 8, codes);
+      ASSERT_EQ(format.frac_bits, ldexp_choose_frac(span, 8)) << length;
+      for (std::size_t i = 0; i < length; ++i) {
+        ASSERT_EQ(codes[i], std::isnan(span[i])
+                                ? 0
+                                : ldexp_quantize_code(span[i], format))
+            << "length " << length << " element " << i;
+      }
+    }
+  });
 }
 
 TEST(FixedPoint, DequantizeMatchesLdexpBitForBit) {
