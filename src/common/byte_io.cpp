@@ -1,21 +1,33 @@
 #include "common/byte_io.hpp"
 
 #include <array>
+#include <bit>
 #include <cstdio>
 
 #include "common/strings.hpp"
 
 namespace condor {
 
-Status ByteWriter::patch_u32le(std::size_t offset, std::uint32_t value) {
-  if (offset + 4 > buffer_.size()) {
-    return internal_error("patch_u32le out of range");
+Status ByteWriter::patch(std::size_t offset, std::uint64_t value,
+                         std::size_t width) {
+  if (offset > buffer_.size() || buffer_.size() - offset < width) {
+    return internal_error("patch out of range");
   }
-  for (int i = 0; i < 4; ++i) {
-    buffer_[offset + static_cast<std::size_t>(i)] =
-        std::byte{static_cast<std::uint8_t>(value >> (8 * i))};
+  for (std::size_t i = 0; i < width; ++i) {
+    buffer_[offset + i] = std::byte{static_cast<std::uint8_t>(value >> (8 * i))};
   }
   return Status::ok();
+}
+
+void ByteWriter::f32le_span(std::span<const float> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::span<const std::byte> raw = std::as_bytes(values);
+    buffer_.insert(buffer_.end(), raw.begin(), raw.end());
+  } else {
+    for (const float value : values) {
+      f32le(value);
+    }
+  }
 }
 
 Result<std::uint8_t> ByteReader::u8() {
@@ -63,6 +75,23 @@ Result<double> ByteReader::f64le() {
   return value;
 }
 
+Status ByteReader::f32le_span(std::span<float> out) {
+  if (out.size() > remaining() / sizeof(float)) {
+    return invalid_input("byte stream truncated (f32 span)");
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) {
+      std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
+    }
+    pos_ += out.size_bytes();
+  } else {
+    for (float& value : out) {
+      value = f32le().value();
+    }
+  }
+  return Status::ok();
+}
+
 Result<std::span<const std::byte>> ByteReader::bytes(std::size_t size) {
   if (remaining() < size) {
     return invalid_input("byte stream truncated (bytes)");
@@ -87,25 +116,55 @@ Status ByteReader::skip(std::size_t size) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kCrcTables[0] is the classic byte-at-a-time table
+/// of the reflected polynomial 0xEDB88320; kCrcTables[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight table lookups fold eight input
+/// bytes at once and give the same value as eight single-byte steps.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1U) != 0 ? (crc >> 1) ^ 0xEDB88320U : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFU];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_u32le(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data) noexcept {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFU;
-  for (std::byte b : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFU];
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_u32le(p) ^ crc;
+    const std::uint32_t hi = load_u32le(p + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+          t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
+          t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<std::uint32_t>(*p)) & 0xFFU];
   }
   return crc ^ 0xFFFFFFFFU;
 }

@@ -44,6 +44,10 @@ class ByteWriter {
     u64le(bits);
   }
 
+  /// Appends `values` as consecutive f32le words, in one copy on a
+  /// little-endian host.
+  void f32le_span(std::span<const float> values);
+
   void bytes(std::span<const std::byte> data) {
     buffer_.insert(buffer_.end(), data.begin(), data.end());
   }
@@ -59,10 +63,18 @@ class ByteWriter {
   [[nodiscard]] std::span<const std::byte> view() const noexcept { return buffer_; }
   [[nodiscard]] std::vector<std::byte> take() && { return std::move(buffer_); }
 
-  /// Overwrites 4 bytes at `offset` (for back-patching section sizes).
-  Status patch_u32le(std::size_t offset, std::uint32_t value);
+  /// Overwrite 4 / 8 bytes at `offset` (for back-patching section sizes
+  /// and checksums).
+  Status patch_u32le(std::size_t offset, std::uint32_t value) {
+    return patch(offset, value, 4);
+  }
+  Status patch_u64le(std::size_t offset, std::uint64_t value) {
+    return patch(offset, value, 8);
+  }
 
  private:
+  Status patch(std::size_t offset, std::uint64_t value, std::size_t width);
+
   std::vector<std::byte> buffer_;
 };
 
@@ -81,6 +93,10 @@ class ByteReader {
   Result<float> f32le();
   Result<double> f64le();
 
+  /// Fills `out` from the next out.size() f32le words, checking the byte
+  /// count once; on error nothing is consumed.
+  Status f32le_span(std::span<float> out);
+
   /// Returns a view over the next `size` bytes and advances.
   Result<std::span<const std::byte>> bytes(std::size_t size);
 
@@ -95,7 +111,8 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) used to checksum artifact sections.
+/// CRC-32 (IEEE 802.3, reflected) used to checksum artifact sections;
+/// slicing-by-8, eight bytes per step.
 std::uint32_t crc32(std::span<const std::byte> data) noexcept;
 
 /// Whole-file helpers (binary).

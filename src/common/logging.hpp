@@ -43,9 +43,22 @@ class Line {
   std::ostringstream stream_;
 };
 
+/// Lets the CONDOR_LOG_* conditional discard a finished Line: `&` binds
+/// looser than `<<`, so it applies after every operand is streamed.
+struct Voidify {
+  void operator&(const Line&) const noexcept {}
+};
+
 }  // namespace condor::log
 
-#define CONDOR_LOG_DEBUG(tag) ::condor::log::Line(::condor::log::Level::kDebug, (tag))
-#define CONDOR_LOG_INFO(tag) ::condor::log::Line(::condor::log::Level::kInfo, (tag))
-#define CONDOR_LOG_WARN(tag) ::condor::log::Line(::condor::log::Level::kWarning, (tag))
-#define CONDOR_LOG_ERROR(tag) ::condor::log::Line(::condor::log::Level::kError, (tag))
+// A line below the threshold is never built: the level test comes first and
+// the `<<` operands are not evaluated. The macro is one expression, so
+// `if (c) CONDOR_LOG_INFO(t) << x; else ...` binds its else to `if (c)`.
+#define CONDOR_LOG_AT_(lvl, tag)                      \
+  (lvl) < ::condor::log::level()                      \
+      ? (void)0                                       \
+      : ::condor::log::Voidify() & ::condor::log::Line((lvl), (tag))
+#define CONDOR_LOG_DEBUG(tag) CONDOR_LOG_AT_(::condor::log::Level::kDebug, tag)
+#define CONDOR_LOG_INFO(tag) CONDOR_LOG_AT_(::condor::log::Level::kInfo, tag)
+#define CONDOR_LOG_WARN(tag) CONDOR_LOG_AT_(::condor::log::Level::kWarning, tag)
+#define CONDOR_LOG_ERROR(tag) CONDOR_LOG_AT_(::condor::log::Level::kError, tag)

@@ -54,6 +54,9 @@ Result<AcceleratorExecutor> AcceleratorExecutor::create(
   if (plan == nullptr || weights == nullptr) {
     return invalid_input("executor needs a plan and a weight store");
   }
+  if (plan->topology == nullptr) {
+    return invalid_input("executor needs a plan with an analyzed topology");
+  }
   CONDOR_RETURN_IF_ERROR(weights->validate_against(plan->source.net));
   return AcceleratorExecutor(std::move(plan), std::move(weights));
 }
@@ -95,12 +98,11 @@ Status AcceleratorExecutor::build_design() {
   }
   const std::vector<PeProgram>& programs = design->programs;
   Graph& graph = design->graph;
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, plan_->source.net.infer_shapes());
+  const auto& shapes = plan_->topology->shapes;
 
   // The network input blob size: what datamover-sourced edges carry.
-  CONDOR_ASSIGN_OR_RETURN(Shape net_input_shape,
-                          plan_->source.net.input_shape());
-  const std::size_t input_elements = net_input_shape.element_count();
+  const std::size_t input_elements =
+      plan_->topology->input_shape().element_count();
 
   // One stream per plan edge — the plan's edge list IS the DAG, so the
   // wiring below needs no linearity assumption. Each edge is sized to
@@ -382,7 +384,7 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   if (inputs.empty()) {
     return std::vector<Tensor>{};
   }
-  CONDOR_ASSIGN_OR_RETURN(Shape input_shape, plan_->source.net.input_shape());
+  const Shape& input_shape = plan_->topology->input_shape();
   for (const Tensor& image : inputs) {
     if (image.shape() != input_shape) {
       return invalid_input(strings::format(

@@ -39,7 +39,7 @@ Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,
                                    std::size_t pe_index,
                                    const nn::WeightStore& weights) {
   const hw::PePlan& pe = plan.pes[pe_index];
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, plan.source.net.infer_shapes());
+  const auto& shapes = plan.topology->shapes;
   const auto& layers = plan.source.net.layers();
 
   PeProgram program;

@@ -39,7 +39,7 @@ Result<CosimReport> cosimulate(const hw::AcceleratorPlan& plan,
       nn::ReferenceEngine::create(plan.source.net, weights));
   CONDOR_ASSIGN_OR_RETURN(dataflow::AcceleratorExecutor executor,
                           dataflow::AcceleratorExecutor::create(plan, weights));
-  CONDOR_ASSIGN_OR_RETURN(Shape input_shape, plan.source.net.input_shape());
+  const Shape& input_shape = plan.topology->input_shape();
   Rng rng(seed);
   std::vector<Tensor> inputs;
   inputs.reserve(batch);
@@ -60,7 +60,7 @@ Result<CosimReport> cosimulate(const hw::AcceleratorPlan& plan,
   report.functional_pass = report.max_abs_diff == 0.0F;
 
   // -- Cycle-level: each feature PE's memory subsystem --------------------
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, plan.source.net.infer_shapes());
+  const auto& shapes = plan.topology->shapes;
   for (const hw::PePlan& pe : plan.pes) {
     if (!pe.memory.has_value() || pe.kind != hw::PeKind::kFeature) {
       continue;

@@ -4,6 +4,7 @@
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
+#include "hw/plan_core.hpp"
 
 namespace condor::hw {
 namespace {
@@ -66,18 +67,24 @@ std::vector<FilterNode> plan_filter_chain(std::size_t window_h,
 }
 
 Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
-  CONDOR_RETURN_IF_ERROR(network.validate());
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, network.net.infer_shapes());
+  CONDOR_ASSIGN_OR_RETURN(nn::Topology topology, network.analyze());
+  return plan_accelerator(
+      network, std::make_shared<const nn::Topology>(std::move(topology)));
+}
+
+Result<AcceleratorPlan> plan_accelerator(
+    HwNetwork network, std::shared_ptr<const nn::Topology> topology) {
   CONDOR_ASSIGN_OR_RETURN(BoardSpec board, find_board(network.hw.board_id));
 
   AcceleratorPlan plan;
-  plan.source = network;
-  plan.board = board;
+  plan.source = std::move(network);
+  plan.topology = std::move(topology);
+  plan.board = std::move(board);
 
-  const auto& layers = network.net.layers();
-  const auto& annots = network.hw.layers;
-  CONDOR_ASSIGN_OR_RETURN(const auto order, network.net.topological_order());
-  CONDOR_ASSIGN_OR_RETURN(const auto consumers, network.net.consumers());
+  const auto& layers = plan.source.net.layers();
+  const auto& annots = plan.source.hw.layers;
+  const auto& shapes = plan.topology->shapes;
+  const auto& consumers = plan.topology->consumers;
 
   // ---- Cluster layers into PEs ----------------------------------------
   // Layers are visited in topological order so every producer is planned
@@ -86,7 +93,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
   constexpr std::size_t kUnplanned = static_cast<std::size_t>(-1);
   std::vector<std::size_t> pe_of_layer(layers.size(), kUnplanned);
 
-  for (const std::size_t i : order) {
+  for (const std::size_t i : plan.topology->order) {
     const nn::LayerSpec& layer = layers[i];
     if (layer.kind == nn::LayerKind::kInput) {
       continue;
@@ -100,7 +107,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
       continue;
     }
 
-    CONDOR_ASSIGN_OR_RETURN(const auto prods, network.net.producers(i));
+    const auto& prods = plan.topology->producers[i];
 
     // A layer may ride along inside the PE planned immediately before it
     // only when it consumes that PE's tail stream and nothing else taps it:
@@ -241,7 +248,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
       const std::uint64_t weight_bytes =
           static_cast<std::uint64_t>(pe.weight_elements) * sizeof(float);
       const std::uint64_t budget_bytes = static_cast<std::uint64_t>(
-          static_cast<double>(board.capacity.bram36) * kBramBytes *
+          static_cast<double>(plan.board.capacity.bram36) * kBramBytes *
           kClassifierWeightBramFraction);
       if (weight_bytes > budget_bytes) {
         return unsynthesizable(strings::format(
@@ -249,7 +256,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
             "%s offers at most %s; fully-connected layers of this size are "
             "not synthesizable with the current methodology",
             pe.name.c_str(), strings::human_bytes(weight_bytes).c_str(),
-            board.id.c_str(), strings::human_bytes(budget_bytes).c_str()));
+            plan.board.id.c_str(), strings::human_bytes(budget_bytes).c_str()));
       }
     }
   }
@@ -260,7 +267,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
   // datamover -> pe0 -> ... -> peN -> datamover edge list byte-for-byte.
   for (std::size_t p = 0; p < plan.pes.size(); ++p) {
     const std::size_t head = plan.pes[p].layer_indices.front();
-    CONDOR_ASSIGN_OR_RETURN(const auto prods, network.net.producers(head));
+    const auto& prods = plan.topology->producers[head];
     for (std::size_t port = 0; port < prods.size(); ++port) {
       const std::size_t prod = prods[port];
       StreamEdge edge;
@@ -288,9 +295,7 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
   // to the host, post-processes that stream on the CPU side).
   std::size_t sink_layer = layers.size() - 1;
   if (plan.softmax_on_host) {
-    CONDOR_ASSIGN_OR_RETURN(const auto prods,
-                            network.net.producers(sink_layer));
-    sink_layer = prods.front();
+    sink_layer = plan.topology->producers[sink_layer].front();
   }
   if (pe_of_layer[sink_layer] == kUnplanned) {
     return internal_error("network sink was not mapped to any PE");
@@ -302,8 +307,17 @@ Result<AcceleratorPlan> plan_accelerator(const HwNetwork& network) {
       kStreamFifoDepth * plan.pes[out_edge.from_pe].parallel_out;
   plan.edges.push_back(out_edge);
 
+  // Host-side softmax is excluded from accelerator FLOPs (it overlaps with
+  // the next batch on the CPU and is negligible).
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (!(plan.softmax_on_host && layers[i].kind == nn::LayerKind::kSoftmax)) {
+      plan.flops_per_image +=
+          nn::layer_flops(layers[i], shapes[i].input, shapes[i].output);
+    }
+  }
+
   CONDOR_LOG_INFO(kTag) << "planned " << plan.pes.size() << " PEs for '"
-                        << network.net.name() << "' on " << board.id;
+                        << plan.source.net.name() << "' on " << plan.board.id;
   return plan;
 }
 

@@ -20,6 +20,8 @@
 // HLS code generator (C sources), and the dataflow engine (simulation).
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,6 +95,12 @@ struct StreamEdge {
 /// Complete structural plan of one accelerator.
 struct AcceleratorPlan {
   HwNetwork source;
+  /// source.net's analyzed topology (producers, consumers, order, shapes),
+  /// shared by every copy of the plan. Backends and models read shapes here.
+  std::shared_ptr<const nn::Topology> topology;
+  /// FLOPs the accelerator performs per image (a host-side softmax is not
+  /// counted).
+  std::uint64_t flops_per_image = 0;
   BoardSpec board;
   std::vector<PePlan> pes;       ///< topological pipeline order
   std::vector<StreamEdge> edges; ///< the inter-PE DAG, datamover at the rims

@@ -6,11 +6,39 @@
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
+#include "hw/plan_core.hpp"
 
 namespace condor::hw {
 namespace {
 
 constexpr std::string_view kTag = "dse";
+
+using SharedTopology = std::shared_ptr<const nn::Topology>;
+
+/// evaluate_design_point() for a network whose annotations already passed
+/// validate_annotations(*topology).
+Result<DsePoint> evaluate(HwNetwork network, const SharedTopology& topology,
+                          const DseOptions& options) {
+  CONDOR_ASSIGN_OR_RETURN(AcceleratorPlan plan,
+                          plan_accelerator(std::move(network), topology));
+  DsePoint point;
+  CONDOR_ASSIGN_OR_RETURN(point.resources,
+                          estimate_resources(plan, options.cost));
+  if (point.resources.total.max_utilization(plan.board.capacity) >
+      options.max_utilization) {
+    return unsynthesizable(strings::format(
+        "utilization %.1f%% exceeds DSE headroom %.1f%%",
+        100.0 * point.resources.total.max_utilization(plan.board.capacity),
+        100.0 * options.max_utilization));
+  }
+  point.achieved_mhz =
+      achieved_frequency_mhz(plan, point.resources, options.timing);
+  CONDOR_ASSIGN_OR_RETURN(
+      point.performance,
+      estimate_performance(plan, point.resources, point.achieved_mhz));
+  point.config = std::move(plan.source);
+  return point;
+}
 
 /// Sum of per-PE steady-state service times — the secondary objective that
 /// lets the walk cross throughput plateaus (tied bottlenecks, clock steps).
@@ -33,15 +61,18 @@ struct ClimbOutcome {
 };
 
 /// The tolerant steepest-ascent walk of the file header, with the PE
-/// clustering held fixed at `network`'s pe_group annotations. Evaluation
-/// counters accumulate into `counters` so a multi-clustering exploration
-/// reports its true search volume.
-Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
-                           DseResult& counters) {
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, network.net.infer_shapes());
+/// clustering held fixed at `network`'s pe_group annotations, which passed
+/// validate_annotations(*topology). Every candidate changes only `hw`, so
+/// all of them share the one analyzed topology. Evaluation counters
+/// accumulate into `counters` so a multi-clustering exploration reports its
+/// true search volume.
+Result<ClimbOutcome> climb(const HwNetwork& network,
+                           const SharedTopology& topology,
+                           const DseOptions& options, DseResult& counters) {
+  const auto& shapes = topology->shapes;
 
   ClimbOutcome outcome;
-  auto start = evaluate_design_point(network, options);
+  auto start = evaluate(network, topology, options);
   ++counters.points_evaluated;
   if (!start.is_ok()) {
     outcome.start_failure = start.status();
@@ -55,13 +86,18 @@ Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
 
   for (std::size_t move = 0; move < options.max_moves; ++move) {
     CONDOR_ASSIGN_OR_RETURN(AcceleratorPlan plan,
-                            plan_accelerator(current.config));
+                            plan_accelerator(current.config, topology));
 
     // Candidate generation: for every PE, double parallel_out / parallel_in
     // (clamped to the layers' map counts), applied to all of its layers.
+    struct Move {
+      bool is_out;
+      std::size_t degree;
+    };
     struct Candidate {
       DsePoint point;
-      std::string description;
+      std::size_t pe;
+      Move move;
     };
     std::optional<Candidate> winner;
 
@@ -85,10 +121,6 @@ Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
 
       const std::size_t layer0 = pe.layer_indices.front();
       const LayerHw& annot = current.config.hw.layers[layer0];
-      struct Move {
-        bool is_out;
-        std::size_t degree;
-      };
       std::vector<Move> moves;
       if (annot.parallel_out * 2 <= max_out) {
         moves.push_back({true, annot.parallel_out * 2});
@@ -103,18 +135,16 @@ Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
           LayerHw& layer_hw = candidate_net.hw.layers[index];
           (m.is_out ? layer_hw.parallel_out : layer_hw.parallel_in) = m.degree;
         }
-        if (!candidate_net.validate().is_ok()) {
+        if (!candidate_net.validate_annotations(*topology).is_ok()) {
           continue;  // degree exceeds a fused layer's map count
         }
-        auto evaluated = evaluate_design_point(candidate_net, options);
+        auto evaluated = evaluate(std::move(candidate_net), topology, options);
         ++counters.points_evaluated;
         if (!evaluated.is_ok()) {
           continue;  // out of resources / past the headroom budget
         }
         ++counters.points_feasible;
-        Candidate candidate{std::move(evaluated).value(),
-                            strings::format("%s %s=%zu", pe.name.c_str(),
-                                            m.is_out ? "Pout" : "Pin", m.degree)};
+        Candidate candidate{std::move(evaluated).value(), p, m};
 
         // Acceptance test against the CURRENT point: a candidate qualifies
         // by strict throughput gain, or as a plateau-escape move (bounded
@@ -151,7 +181,9 @@ Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
       break;  // no qualifying move left
     }
 
-    CONDOR_LOG_DEBUG(kTag) << "accept " << winner->description << " -> "
+    CONDOR_LOG_DEBUG(kTag) << "accept " << plan.pes[winner->pe].name << ' '
+                           << (winner->move.is_out ? "Pout" : "Pin") << '='
+                           << winner->move.degree << " -> "
                            << strings::format("%.2f GFLOPS @ %.0f MHz",
                                               winner->point.gflops(),
                                               winner->point.achieved_mhz);
@@ -178,10 +210,12 @@ Result<ClimbOutcome> climb(const HwNetwork& network, const DseOptions& options,
 /// options.max_clusterings. The all-ones combo (the base clustering itself)
 /// is skipped — the caller climbs it unconditionally.
 Result<std::vector<HwNetwork>> enumerate_fusion_clusterings(
-    const HwNetwork& base, const DseOptions& options) {
+    const HwNetwork& base, const SharedTopology& topology,
+    const DseOptions& options) {
   std::vector<HwNetwork> clusterings;
-  CONDOR_ASSIGN_OR_RETURN(AcceleratorPlan plan, plan_accelerator(base));
-  CONDOR_ASSIGN_OR_RETURN(auto consumers, base.net.consumers());
+  CONDOR_ASSIGN_OR_RETURN(AcceleratorPlan plan,
+                          plan_accelerator(base, topology));
+  const auto& consumers = topology->consumers;
 
   std::vector<std::vector<std::size_t>> segments;  // runs of plan PE indices
   std::vector<std::size_t> run;
@@ -201,7 +235,7 @@ Result<std::vector<HwNetwork>> enumerate_fusion_clusterings(
       const PePlan& prev = plan.pes[run.back()];
       const std::size_t tail = prev.layer_indices.back();
       const std::size_t head = pe.layer_indices.front();
-      CONDOR_ASSIGN_OR_RETURN(auto prods, base.net.producers(head));
+      const auto& prods = topology->producers[head];
       const bool chained = head == tail + 1 && prods.size() == 1 &&
                            prods.front() == tail &&
                            consumers[tail].size() == 1;
@@ -263,7 +297,7 @@ Result<std::vector<HwNetwork>> enumerate_fusion_clusterings(
         ++group;
       }
     }
-    if (candidate.validate().is_ok()) {
+    if (candidate.validate_annotations(*topology).is_ok()) {
       clusterings.push_back(std::move(candidate));
     }
     if (clusterings.size() >= options.max_clusterings) {
@@ -277,33 +311,22 @@ Result<std::vector<HwNetwork>> enumerate_fusion_clusterings(
 
 Result<DsePoint> evaluate_design_point(const HwNetwork& network,
                                        const DseOptions& options) {
-  DsePoint point;
-  point.config = network;
-  CONDOR_ASSIGN_OR_RETURN(AcceleratorPlan plan, plan_accelerator(network));
-  CONDOR_ASSIGN_OR_RETURN(point.resources,
-                          estimate_resources(plan, options.cost));
-  if (point.resources.total.max_utilization(plan.board.capacity) >
-      options.max_utilization) {
-    return unsynthesizable(strings::format(
-        "utilization %.1f%% exceeds DSE headroom %.1f%%",
-        100.0 * point.resources.total.max_utilization(plan.board.capacity),
-        100.0 * options.max_utilization));
-  }
-  point.achieved_mhz =
-      achieved_frequency_mhz(plan, point.resources, options.timing);
-  CONDOR_ASSIGN_OR_RETURN(
-      point.performance,
-      estimate_performance(plan, point.resources, point.achieved_mhz));
-  return point;
+  CONDOR_ASSIGN_OR_RETURN(nn::Topology topology, network.analyze());
+  return evaluate(network,
+                  std::make_shared<const nn::Topology>(std::move(topology)),
+                  options);
 }
 
 Result<DseResult> explore(const HwNetwork& network, const DseOptions& options) {
-  CONDOR_RETURN_IF_ERROR(network.validate());
+  CONDOR_ASSIGN_OR_RETURN(nn::Topology analyzed, network.analyze());
+  const SharedTopology topology =
+      std::make_shared<const nn::Topology>(std::move(analyzed));
 
   DseResult result;
   // The base clustering climbs unconditionally; its infeasibility is the
   // caller's error (nothing at all fits the board).
-  CONDOR_ASSIGN_OR_RETURN(ClimbOutcome base, climb(network, options, result));
+  CONDOR_ASSIGN_OR_RETURN(ClimbOutcome base,
+                          climb(network, topology, options, result));
   result.clusterings_explored = 1;
   if (!base.feasible) {
     return Status(base.start_failure.code(),
@@ -319,10 +342,11 @@ Result<DseResult> explore(const HwNetwork& network, const DseOptions& options) {
   // unsynthesizable on this board are skipped, not fatal.
   if (options.max_fused > 1) {
     CONDOR_ASSIGN_OR_RETURN(std::vector<HwNetwork> clusterings,
-                            enumerate_fusion_clusterings(network, options));
+                            enumerate_fusion_clusterings(network, topology,
+                                                         options));
     for (const HwNetwork& clustering : clusterings) {
       CONDOR_ASSIGN_OR_RETURN(ClimbOutcome outcome,
-                              climb(clustering, options, result));
+                              climb(clustering, topology, options, result));
       ++result.clusterings_explored;
       if (!outcome.feasible) {
         continue;

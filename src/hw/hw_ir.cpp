@@ -5,9 +5,12 @@
 #include "common/strings.hpp"
 
 namespace condor::hw {
+namespace {
 
-Status HwNetwork::validate() const {
-  CONDOR_RETURN_IF_ERROR(net.validate());
+/// The checks that need no shapes: annotation count, board and clock.
+Status validate_target(const HwNetwork& network) {
+  const nn::Network& net = network.net;
+  const HwAnnotations& hw = network.hw;
   if (hw.layers.size() != net.layer_count()) {
     return invalid_input(strings::format(
         "hardware annotations cover %zu layers, network has %zu",
@@ -20,7 +23,29 @@ Status HwNetwork::validate() const {
         "target frequency %.1f MHz outside (0, %.1f] for board %s",
         hw.target_frequency_mhz, board.max_frequency_mhz, board.id.c_str()));
   }
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, net.infer_shapes());
+  return Status::ok();
+}
+
+}  // namespace
+
+Result<nn::Topology> HwNetwork::analyze() const {
+  // Structure, target, then shapes and per-layer annotations: a network
+  // failing several checks reports the first one in this order.
+  CONDOR_RETURN_IF_ERROR(net.validate());
+  CONDOR_RETURN_IF_ERROR(validate_target(*this));
+  CONDOR_ASSIGN_OR_RETURN(nn::Topology topology, net.analyze());
+  CONDOR_RETURN_IF_ERROR(validate_annotations(topology));
+  return topology;
+}
+
+Status HwNetwork::validate() const { return analyze().status(); }
+
+Status HwNetwork::validate_annotations(const nn::Topology& topology) const {
+  CONDOR_RETURN_IF_ERROR(validate_target(*this));
+  if (topology.shapes.size() != net.layer_count()) {
+    return invalid_input("topology does not belong to this network");
+  }
+  const auto& shapes = topology.shapes;
 
   // PE groups must be contiguous runs of layers with compatible computation:
   // feature-extraction layers fuse with feature-extraction layers, classifier

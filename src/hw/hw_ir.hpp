@@ -49,11 +49,19 @@ struct HwNetwork {
   nn::Network net;
   HwAnnotations hw;
 
-  /// Structural checks beyond nn::Network::validate(): annotation vector
-  /// length, parallelism degrees positive and dividing the map counts,
-  /// board id known, PE groups contiguous and kind-homogeneous (only like
-  /// layers may be fused, paper §3.2).
+  /// nn::Network::analyze() plus validate_annotations(): the analyzed
+  /// topology of `net`, or the first error.
+  [[nodiscard]] Result<nn::Topology> analyze() const;
+
+  /// analyze()'s verdict.
   [[nodiscard]] Status validate() const;
+
+  /// The annotation checks alone, against `topology` = net.analyze():
+  /// annotation vector length, board id known, target frequency in range,
+  /// parallelism degrees positive and within the map counts, PE groups
+  /// contiguous and kind-homogeneous (only like layers may be fused, paper
+  /// §3.2). Searches that vary only `hw` run this per candidate.
+  [[nodiscard]] Status validate_annotations(const nn::Topology& topology) const;
 };
 
 /// Default annotations for a topology: every layer on its own PE, no

@@ -69,23 +69,15 @@ Result<PerformanceEstimate> estimate_performance(const AcceleratorPlan& plan,
   if (report.spills_to_ddr.size() != plan.pes.size()) {
     return invalid_input("resource report does not match the plan");
   }
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, plan.source.net.infer_shapes());
+  if (plan.topology == nullptr) {
+    return invalid_input("plan carries no analyzed topology");
+  }
+  const auto& shapes = plan.topology->shapes;
   const auto& layers = plan.source.net.layers();
 
   PerformanceEstimate estimate;
   estimate.frequency_mhz = frequency_mhz;
-  CONDOR_ASSIGN_OR_RETURN(estimate.flops_per_image,
-                          plan.source.net.total_flops());
-  if (plan.softmax_on_host) {
-    // Host-side softmax is excluded from accelerator FLOPs (it overlaps
-    // with the next batch on the CPU and is negligible).
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      if (layers[i].kind == nn::LayerKind::kSoftmax) {
-        estimate.flops_per_image -=
-            nn::layer_flops(layers[i], shapes[i].input, shapes[i].output);
-      }
-    }
-  }
+  estimate.flops_per_image = plan.flops_per_image;
 
   // Bytes/cycle the datamover can sustain per stream at this clock.
   const double ddr_bytes_per_cycle =
@@ -202,9 +194,9 @@ Result<PerformanceEstimate> estimate_performance(const AcceleratorPlan& plan,
   }
 
   // The datamover input stream itself can bound the pipeline.
-  CONDOR_ASSIGN_OR_RETURN(Shape input_shape, plan.source.net.input_shape());
   const auto input_bytes =
-      static_cast<std::uint64_t>(input_shape.element_count()) * sizeof(float);
+      static_cast<std::uint64_t>(plan.topology->input_shape().element_count()) *
+      sizeof(float);
   const auto input_stream_cycles = static_cast<std::uint64_t>(
       static_cast<double>(input_bytes) / ddr_bytes_per_cycle);
   estimate.bottleneck_interval =

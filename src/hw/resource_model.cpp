@@ -193,8 +193,6 @@ ResourceReport estimate_resources_unchecked(const AcceleratorPlan& plan,
   report.total = report.platform;
   report.spills_to_ddr.assign(plan.pes.size(), false);
 
-  const auto shapes_result = plan.source.net.infer_shapes();
-  const auto& shapes = shapes_result.value();  // plan guarantees validity
   const std::uint64_t buffer_budget_bram = static_cast<std::uint64_t>(
       static_cast<double>(plan.board.capacity.bram36) *
       cost.buffer_spill_fraction);
@@ -206,6 +204,7 @@ ResourceReport estimate_resources_unchecked(const AcceleratorPlan& plan,
     // Stage buffers (see pe_cost comment): decided here because the spill
     // policy depends on the board budget.
     if (pe.kind == PeKind::kFeature) {
+      const auto& shapes = plan.topology->shapes;
       std::uint64_t stage_bram = 0;
       for (const std::size_t index : pe.layer_indices) {
         const nn::LayerSpec& layer = plan.source.net.layers()[index];

@@ -27,10 +27,12 @@ Result<RooflinePoint> roofline_point(const AcceleratorPlan& plan,
 
   // DDR bytes per image: the input blob in, the output blob out, plus every
   // PE's streamed traffic (weight slices, spills).
-  CONDOR_ASSIGN_OR_RETURN(Shape input_shape, plan.source.net.input_shape());
-  CONDOR_ASSIGN_OR_RETURN(Shape output_shape, plan.source.net.output_shape());
+  if (plan.topology == nullptr) {
+    return invalid_input("plan carries no analyzed topology");
+  }
   double bytes = static_cast<double>(
-      (input_shape.element_count() + output_shape.element_count()) *
+      (plan.topology->input_shape().element_count() +
+       plan.topology->output_shape().element_count()) *
       sizeof(float));
   for (const PeTiming& pe : estimate.pes) {
     bytes += static_cast<double>(pe.ddr_bytes_per_image);

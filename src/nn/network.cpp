@@ -56,32 +56,29 @@ Result<std::vector<std::size_t>> Network::producers(std::size_t index) const {
   return out;
 }
 
-Result<std::vector<std::vector<std::size_t>>> Network::consumers() const {
-  std::vector<std::vector<std::size_t>> out(layers_.size());
+Result<Topology> Network::resolve_edges() const {
+  Topology topology;
+  topology.producers.resize(layers_.size());
+  topology.consumers.resize(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    CONDOR_ASSIGN_OR_RETURN(auto prods, producers(i));
-    for (std::size_t p : prods) {
-      out[p].push_back(i);
+    CONDOR_ASSIGN_OR_RETURN(topology.producers[i], producers(i));
+    for (std::size_t p : topology.producers[i]) {
+      topology.consumers[p].push_back(i);
     }
   }
-  return out;
+  return topology;
 }
 
-Result<std::vector<std::size_t>> Network::topological_order() const {
+Status Network::sort(Topology& topology) const {
   const std::size_t n = layers_.size();
-  std::vector<std::vector<std::size_t>> consumer_of(n);
   std::vector<std::size_t> indegree(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    CONDOR_ASSIGN_OR_RETURN(auto prods, producers(i));
-    indegree[i] = prods.size();
-    for (std::size_t p : prods) {
-      consumer_of[p].push_back(i);
-    }
+    indegree[i] = topology.producers[i].size();
   }
   // Kahn's algorithm, always emitting the lowest ready index: a network
   // whose declaration order is already topological (every linear chain)
   // comes back as the identity permutation.
-  std::vector<std::size_t> order;
+  std::vector<std::size_t>& order = topology.order;
   order.reserve(n);
   std::vector<bool> emitted(n, false);
   for (std::size_t step = 0; step < n; ++step) {
@@ -98,11 +95,22 @@ Result<std::vector<std::size_t>> Network::topological_order() const {
     }
     emitted[next] = true;
     order.push_back(next);
-    for (std::size_t c : consumer_of[next]) {
+    for (std::size_t c : topology.consumers[next]) {
       --indegree[c];
     }
   }
-  return order;
+  return Status::ok();
+}
+
+Result<std::vector<std::vector<std::size_t>>> Network::consumers() const {
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, resolve_edges());
+  return std::move(topology.consumers);
+}
+
+Result<std::vector<std::size_t>> Network::topological_order() const {
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, resolve_edges());
+  CONDOR_RETURN_IF_ERROR(sort(topology));
+  return std::move(topology.order);
 }
 
 std::size_t Network::join_count() const noexcept {
@@ -116,13 +124,13 @@ std::size_t Network::join_count() const noexcept {
 }
 
 Result<std::size_t> Network::dag_depth() const {
-  CONDOR_ASSIGN_OR_RETURN(auto order, topological_order());
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, resolve_edges());
+  CONDOR_RETURN_IF_ERROR(sort(topology));
   std::vector<std::size_t> depth(layers_.size(), 0);
   std::size_t deepest = 0;
-  for (std::size_t i : order) {
-    CONDOR_ASSIGN_OR_RETURN(auto prods, producers(i));
+  for (std::size_t i : topology.order) {
     std::size_t d = 1;
-    for (std::size_t p : prods) {
+    for (std::size_t p : topology.producers[i]) {
       d = std::max(d, depth[p] + 1);
     }
     depth[i] = d;
@@ -131,7 +139,20 @@ Result<std::size_t> Network::dag_depth() const {
   return deepest;
 }
 
-Status Network::validate() const {
+Status Network::validate() const { return resolve().status(); }
+
+Result<Topology> Network::analyze() const {
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, resolve());
+  CONDOR_RETURN_IF_ERROR(fill_shapes(topology));
+  return topology;
+}
+
+Result<std::vector<LayerShapes>> Network::infer_shapes() const {
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, analyze());
+  return std::move(topology.shapes);
+}
+
+Result<Topology> Network::resolve() const {
   if (layers_.empty()) {
     return invalid_input("network '" + name_ + "' has no layers");
   }
@@ -219,22 +240,19 @@ Status Network::validate() const {
         break;
     }
   }
-  // The producer graph must resolve and sort: topological_order() surfaces
-  // unknown input names, self-references, and cycles.
-  CONDOR_ASSIGN_OR_RETURN(const auto order, topological_order());
+  // The producer graph must resolve and sort: unknown input names,
+  // self-references and cycles surface here.
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, resolve_edges());
+  CONDOR_RETURN_IF_ERROR(sort(topology));
   // Spatial layers cannot consume a classifier output: walk the sorted DAG
   // and taint everything downstream of an inner-product layer (the flattened
   // half of the network). For linear chains this reproduces the old
   // "classifier started" declaration-order check verbatim.
   std::vector<bool> flattened(layers_.size(), false);
-  std::size_t sink_count = 0;
-  std::vector<std::size_t> consumer_count(layers_.size(), 0);
-  for (std::size_t i : order) {
+  for (std::size_t i : topology.order) {
     const LayerSpec& layer = layers_[i];
-    CONDOR_ASSIGN_OR_RETURN(const auto prods, producers(i));
     bool tainted = layer.kind == LayerKind::kInnerProduct;
-    for (std::size_t p : prods) {
-      consumer_count[p] += 1;
+    for (std::size_t p : topology.producers[i]) {
       tainted = tainted || flattened[p];
     }
     if (tainted && layer.kind != LayerKind::kInnerProduct &&
@@ -246,9 +264,10 @@ Status Network::validate() const {
     }
     flattened[i] = tainted;
   }
+  std::size_t sink_count = 0;
   std::size_t sink = layers_.size();
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (consumer_count[i] == 0) {
+    if (topology.consumers[i].empty()) {
       ++sink_count;
       sink = i;
     }
@@ -263,16 +282,15 @@ Status Network::validate() const {
     return invalid_input("network '" + name_ + "' output layer '" +
                          layers_[sink].name + "' must be declared last");
   }
-  return Status::ok();
+  return topology;
 }
 
-Result<std::vector<LayerShapes>> Network::infer_shapes() const {
-  CONDOR_RETURN_IF_ERROR(validate());
-  CONDOR_ASSIGN_OR_RETURN(const auto order, topological_order());
-  std::vector<LayerShapes> shapes(layers_.size());
-  for (std::size_t i : order) {
+Status Network::fill_shapes(Topology& topology) const {
+  std::vector<LayerShapes>& shapes = topology.shapes;
+  shapes.assign(layers_.size(), LayerShapes{});
+  for (std::size_t i : topology.order) {
     const LayerSpec& layer = layers_[i];
-    CONDOR_ASSIGN_OR_RETURN(const auto prods, producers(i));
+    const std::vector<std::size_t>& prods = topology.producers[i];
     LayerShapes& entry = shapes[i];
     entry.input = prods.empty() ? Shape{} : shapes[prods.front()].output;
     switch (layer.kind) {
@@ -358,7 +376,7 @@ Result<std::vector<LayerShapes>> Network::infer_shapes() const {
       }
     }
   }
-  return shapes;
+  return Status::ok();
 }
 
 Result<Shape> Network::input_shape() const {
@@ -368,8 +386,8 @@ Result<Shape> Network::input_shape() const {
 }
 
 Result<Shape> Network::output_shape() const {
-  CONDOR_ASSIGN_OR_RETURN(auto shapes, infer_shapes());
-  return shapes.back().output;
+  CONDOR_ASSIGN_OR_RETURN(Topology topology, analyze());
+  return topology.output_shape();
 }
 
 Result<std::uint64_t> Network::total_flops() const {

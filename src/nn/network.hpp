@@ -5,10 +5,12 @@
 // residual/route topologies joined by eltwise-add and concat layers. Each
 // layer names its producer blobs via LayerSpec::inputs; an empty list means
 // "the previous layer", which keeps pre-DAG chain definitions byte-for-byte
-// compatible. The Network owns the layer list and provides producer
-// resolution, topological ordering, per-layer input/output shapes, FLOP
-// accounting (used by the GFLOPS computations in the evaluation) and
-// structural validation.
+// compatible. The Network owns the layer list; analyze() derives everything
+// else from it in one pass — producer/consumer resolution, topological
+// ordering and per-layer input/output shapes — as an nn::Topology, of which
+// validate(), infer_shapes(), topological_order() and consumers() are views.
+// FLOP accounting (used by the GFLOPS computations in the evaluation) reads
+// the inferred shapes.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,22 @@ namespace condor::nn {
 struct LayerShapes {
   Shape input;   ///< CHW for feature extraction, flat (N) for classifier
   Shape output;
+};
+
+/// Everything derived from a valid network's layer list, computed once by
+/// Network::analyze(). A planner, model or backend that needs producers,
+/// consumers, the topological order or shapes reads them here instead of
+/// re-deriving them; plans share one immutable instance.
+struct Topology {
+  std::vector<std::vector<std::size_t>> producers;  ///< operand order
+  std::vector<std::vector<std::size_t>> consumers;  ///< ascending index
+  std::vector<std::size_t> order;                   ///< Kahn, lowest first
+  std::vector<LayerShapes> shapes;
+
+  /// Input blob shape (CHW) declared by the kInput layer.
+  [[nodiscard]] const Shape& input_shape() const { return shapes.front().output; }
+  /// Shape of the final output blob.
+  [[nodiscard]] const Shape& output_shape() const { return shapes.back().output; }
 };
 
 class Network {
@@ -79,10 +97,14 @@ class Network {
   /// geometries fit, producer references resolve into an acyclic graph with
   /// a single sink, joins name exactly two producers, no spatial layer
   /// consumes a classifier output, names unique and non-empty. Returns the
-  /// first violation.
+  /// first violation. Shape errors are analyze()'s, not validate()'s.
   [[nodiscard]] Status validate() const;
 
-  /// Runs shape inference; requires validate() to pass.
+  /// validate()'s checks, then shape inference: the whole derived topology,
+  /// or the first structural or shape error.
+  [[nodiscard]] Result<Topology> analyze() const;
+
+  /// The shapes of analyze().
   [[nodiscard]] Result<std::vector<LayerShapes>> infer_shapes() const;
 
   /// Input blob shape (CHW) declared by the kInput layer.
@@ -113,6 +135,15 @@ class Network {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// producers() of every layer and their inverse; no cycle check.
+  [[nodiscard]] Result<Topology> resolve_edges() const;
+  /// Fills `topology.order` (Kahn over the resolved edges).
+  [[nodiscard]] Status sort(Topology& topology) const;
+  /// validate()'s checks; the result lacks shapes.
+  [[nodiscard]] Result<Topology> resolve() const;
+  /// Fills `topology.shapes` for a resolve()d network.
+  [[nodiscard]] Status fill_shapes(Topology& topology) const;
+
   std::string name_;
   std::vector<LayerSpec> layers_;
 };

@@ -16,9 +16,7 @@ void write_tensor(ByteWriter& out, const Tensor& tensor) {
   for (const std::size_t dim : tensor.shape().dims()) {
     out.u64le(dim);
   }
-  for (const float value : tensor.data()) {
-    out.f32le(value);
-  }
+  out.f32le_span(tensor.data());
 }
 
 Result<Tensor> read_tensor(ByteReader& in) {
@@ -27,16 +25,24 @@ Result<Tensor> read_tensor(ByteReader& in) {
     return invalid_input("weight file: implausible tensor rank");
   }
   std::vector<std::size_t> dims(rank);
+  // The declared dims must describe data the file actually holds, checked
+  // before anything is allocated for it.
+  std::uint64_t count = 1;
   for (auto& dim : dims) {
     CONDOR_ASSIGN_OR_RETURN(std::uint64_t extent, in.u64le());
+    if (__builtin_mul_overflow(count, extent, &count)) {
+      return invalid_input("weight file: tensor element count overflows");
+    }
     dim = static_cast<std::size_t>(extent);
   }
-  Shape shape(std::move(dims));
-  std::vector<float> data(shape.element_count());
-  for (float& value : data) {
-    CONDOR_ASSIGN_OR_RETURN(value, in.f32le());
+  if (count > in.remaining() / sizeof(float)) {
+    return invalid_input(strings::format(
+        "weight file: tensor declares %llu elements but %zu bytes remain",
+        static_cast<unsigned long long>(count), in.remaining()));
   }
-  return Tensor(std::move(shape), std::move(data));
+  Tensor tensor{Shape(std::move(dims))};
+  CONDOR_RETURN_IF_ERROR(in.f32le_span(tensor.data()));
+  return tensor;
 }
 
 }  // namespace
@@ -89,17 +95,22 @@ std::vector<std::byte> WeightStore::serialize() const {
   out.u32le(kMagic);
   out.u32le(static_cast<std::uint32_t>(params_.size()));
   for (const auto& [name, params] : params_) {
-    ByteWriter entry;
-    entry.u32le(static_cast<std::uint32_t>(name.size()));
-    entry.string_bytes(name);
-    write_tensor(entry, params.weights);
-    entry.u8(params.bias.empty() ? 0 : 1);
+    // The body is written in place; its size and CRC are patched into the
+    // header once known.
+    const std::size_t header = out.size();
+    out.u64le(0);
+    out.u32le(0);
+    const std::size_t body = out.size();
+    out.u32le(static_cast<std::uint32_t>(name.size()));
+    out.string_bytes(name);
+    write_tensor(out, params.weights);
+    out.u8(params.bias.empty() ? 0 : 1);
     if (!params.bias.empty()) {
-      write_tensor(entry, params.bias);
+      write_tensor(out, params.bias);
     }
-    out.u64le(entry.size());
-    out.u32le(crc32(entry.view()));
-    out.bytes(entry.view());
+    const std::span<const std::byte> entry = out.view().subspan(body);
+    (void)out.patch_u64le(header, entry.size());
+    (void)out.patch_u32le(header + 8, crc32(entry));
   }
   return std::move(out).take();
 }

@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: status/result, strings, RNG,
-// byte I/O, CRC, thread pool.
+// byte I/O, CRC, logging, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/byte_io.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
@@ -206,6 +210,70 @@ TEST(ByteIo, Crc32KnownVector) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+/// The definition: one bit per step, no tables.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (const std::byte b : data) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1U) != 0 ? (crc >> 1) ^ 0xEDB88320U : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(ByteIo, Crc32MatchesBitwiseReference) {
+  // Every length around the 8-byte stride, at every start alignment.
+  Rng rng(31);
+  std::vector<std::byte> data(8 + 68);
+  for (std::byte& b : data) {
+    b = static_cast<std::byte>(rng.bounded(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 67; ++length) {
+      const auto view = std::span<const std::byte>(data).subspan(offset, length);
+      EXPECT_EQ(crc32(view), crc32_bitwise(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(ByteIo, FloatSpanMatchesPerValueCodec) {
+  const std::vector<float> values = {0.0F, -0.0F, 1.5F, -3.25e-7F, 6.5e30F};
+  ByteWriter bulk;
+  bulk.f32le_span(values);
+  ByteWriter single;
+  for (const float value : values) {
+    single.f32le(value);
+  }
+  ASSERT_EQ(bulk.size(), single.size());
+  EXPECT_TRUE(std::equal(bulk.view().begin(), bulk.view().end(),
+                         single.view().begin()));
+
+  std::vector<float> out(values.size());
+  ByteReader reader(bulk.view());
+  ASSERT_TRUE(reader.f32le_span(out).is_ok());
+  EXPECT_TRUE(reader.at_end());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&out[i], &values[i], sizeof(float)), 0) << i;
+  }
+  ByteReader empty(bulk.view());
+  EXPECT_TRUE(empty.f32le_span({}).is_ok());
+  EXPECT_EQ(empty.position(), 0U);
+}
+
+TEST(ByteIo, FloatSpanCutShortIsError) {
+  ByteWriter writer;
+  writer.f32le_span(std::vector<float>{1.0F, 2.0F, 3.0F, 4.0F, 5.0F});
+  for (std::size_t cut = 1; cut <= 4; ++cut) {
+    ByteReader reader(writer.view().first(writer.size() - cut));
+    std::vector<float> out(5);
+    const Status status = reader.f32le_span(out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidInput) << "cut " << cut;
+    EXPECT_EQ(reader.position(), 0U) << "cut " << cut;
+  }
+}
+
 TEST(ByteIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/condor_byte_io_test.bin";
   ByteWriter writer;
@@ -215,6 +283,52 @@ TEST(ByteIo, FileRoundTrip) {
   ASSERT_TRUE(data.is_ok());
   EXPECT_EQ(data.value().size(), 8u);
   EXPECT_FALSE(read_file(path + ".does-not-exist").is_ok());
+}
+
+// ---- logging -----------------------------------------------------------------
+
+/// Restores the global log level when a test ends.
+class LogLevelGuard {
+ public:
+  LogLevelGuard() : saved_(log::level()) {}
+  ~LogLevelGuard() { log::set_level(saved_); }
+  LogLevelGuard(const LogLevelGuard&) = delete;
+  LogLevelGuard& operator=(const LogLevelGuard&) = delete;
+
+ private:
+  log::Level saved_;
+};
+
+TEST(Logging, OperandsRunOnlyAtOrAboveTheThreshold) {
+  const LogLevelGuard guard;
+  int evaluations = 0;
+  const auto operand = [&evaluations] { return ++evaluations; };
+  log::set_level(log::Level::kWarning);
+  CONDOR_LOG_DEBUG("test") << operand();
+  CONDOR_LOG_INFO("test") << operand() << operand();
+  EXPECT_EQ(evaluations, 0);
+  CONDOR_LOG_WARN("test") << "at the threshold " << operand();
+  EXPECT_EQ(evaluations, 1);
+  CONDOR_LOG_ERROR("test") << "above the threshold " << operand();
+  EXPECT_EQ(evaluations, 2);
+  log::set_level(log::Level::kOff);
+  CONDOR_LOG_ERROR("test") << operand();
+  EXPECT_EQ(evaluations, 2);
+}
+
+TEST(Logging, ElseBindsToTheEnclosingIf) {
+  const LogLevelGuard guard;
+  for (const log::Level level : {log::Level::kInfo, log::Level::kOff}) {
+    log::set_level(level);
+    for (const bool condition : {true, false}) {
+      bool took_else = false;
+      if (condition)
+        CONDOR_LOG_INFO("test") << "if branch";
+      else
+        took_else = true;
+      EXPECT_EQ(took_else, !condition);
+    }
+  }
 }
 
 // ---- ThreadPool --------------------------------------------------------------

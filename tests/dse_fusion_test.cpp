@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "hw/accel_plan.hpp"
 #include "hw/dse.hpp"
@@ -120,6 +122,73 @@ TEST(DseFusion, FusedWinnerStaysWithinUtilization) {
   EXPECT_LE(best.resources.dsp_percent(board), 100.0 * options.max_utilization);
   EXPECT_LE(best.resources.bram_percent(board),
             100.0 * options.max_utilization);
+}
+
+/// One pinned exploration (fixed8 presets on aws-f1). Sharing the analyzed
+/// topology across the search must not change the design it finds or the
+/// number of points it evaluates.
+struct DsePin {
+  const char* model;
+  std::size_t max_fused;
+  std::size_t points_evaluated;
+  std::size_t points_feasible;
+  std::size_t clusterings_explored;
+  std::size_t trajectory;
+  double gflops;
+  double achieved_mhz;
+  std::vector<LayerHw> best;  ///< {parallel_in, parallel_out, pe_group}
+};
+
+TEST(DseFusion, ExplorationIsPinned) {
+  const std::vector<DsePin> pins = {
+      {"lenet", 1, 351, 349, 1, 40, 720.75722092115529, 200,
+       {{1, 1, -1}, {1, 16, -1}, {4, 1, -1}, {4, 32, -1}, {1, 1, -1},
+        {8, 64, -1}, {1, 4, -1}, {1, 1, -1}}},
+      {"lenet", 4, 727, 724, 4, 32, 720.75722092115529, 200,
+       {{1, 1, -1}, {1, 16, 0}, {1, 16, 0}, {4, 32, 1}, {4, 32, 1},
+        {8, 64, -1}, {1, 4, -1}, {1, 1, -1}}},
+      {"tiny_resnet", 1, 362, 362, 1, 36, 65.209444985394356, 200,
+       {{1, 1, -1}, {1, 2, -1}, {1, 8, -1}, {1, 8, -1}, {1, 1, -1},
+        {1, 8, -1}, {1, 8, -1}, {1, 1, -1}, {1, 1, -1}, {1, 1, -1},
+        {1, 4, -1}, {1, 1, -1}}},
+      {"tiny_resnet", 4, 1063, 1063, 4, 25, 65.209444985394356, 200,
+       {{1, 1, -1}, {1, 2, -1}, {2, 8, 0}, {2, 8, 0}, {1, 1, -1},
+        {2, 8, 1}, {2, 8, 1}, {1, 1, -1}, {1, 1, -1}, {1, 1, -1},
+        {1, 4, -1}, {1, 1, -1}}},
+      {"tc1", 1, 110, 110, 1, 16, 28.749886104783599, 200,
+       {{1, 1, -1}, {1, 4, -1}, {1, 1, -1}, {1, 4, -1}, {1, 1, -1},
+        {1, 2, -1}, {1, 1, -1}}},
+      {"tc1", 4, 205, 205, 4, 13, 28.749886104783599, 200,
+       {{1, 1, -1}, {1, 4, 0}, {1, 4, 0}, {1, 4, 1}, {1, 4, 1},
+        {1, 2, -1}, {1, 1, -1}}},
+  };
+  for (const DsePin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.model) + " max_fused=" +
+                 std::to_string(pin.max_fused));
+    HwNetwork network =
+        with_default_annotations(nn::make_model(pin.model).value());
+    network.hw.data_type = nn::DataType::kFixed8;
+    DseOptions options;
+    options.max_fused = pin.max_fused;
+    options.cost = cost_model_for(nn::DataType::kFixed8);
+    options.timing = timing_model_for(nn::DataType::kFixed8);
+    auto result = explore(network, options);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    const DseResult& dse = result.value();
+    EXPECT_EQ(dse.points_evaluated, pin.points_evaluated);
+    EXPECT_EQ(dse.points_feasible, pin.points_feasible);
+    EXPECT_EQ(dse.clusterings_explored, pin.clusterings_explored);
+    EXPECT_EQ(dse.trajectory.size(), pin.trajectory);
+    EXPECT_DOUBLE_EQ(dse.best.gflops(), pin.gflops);
+    EXPECT_DOUBLE_EQ(dse.best.achieved_mhz, pin.achieved_mhz);
+    const std::vector<LayerHw>& best = dse.best.config.hw.layers;
+    ASSERT_EQ(best.size(), pin.best.size());
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      EXPECT_EQ(best[i].parallel_in, pin.best[i].parallel_in) << i;
+      EXPECT_EQ(best[i].parallel_out, pin.best[i].parallel_out) << i;
+      EXPECT_EQ(best[i].pe_group, pin.best[i].pe_group) << i;
+    }
+  }
 }
 
 }  // namespace

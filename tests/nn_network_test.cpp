@@ -188,6 +188,111 @@ TEST(Network, InferRejectsWindowLargerThanMap) {
   EXPECT_FALSE(net.infer_shapes().is_ok());
 }
 
+TEST(Network, AnalyzeAgreesWithItsViewsOnInvalidNetworks) {
+  using condor::testing::TinyNetConfig;
+  const auto layer = [](std::string name, LayerKind kind,
+                        std::vector<std::string> inputs = {}) {
+    LayerSpec spec;
+    spec.name = std::move(name);
+    spec.kind = kind;
+    spec.inputs = std::move(inputs);
+    spec.num_output = 2;
+    spec.kernel_h = spec.kernel_w = spec.stride = 1;
+    return spec;
+  };
+  struct Case {
+    const char* what;
+    Network net;
+    bool structural;  ///< validate() rejects it (else only shapes do)
+    StatusCode code;
+  };
+  std::vector<Case> cases;
+  const auto add_case = [&](const char* what, Network net, bool structural,
+                            StatusCode code) {
+    cases.push_back({what, std::move(net), structural, code});
+  };
+  add_case("empty", Network("empty"), true, StatusCode::kInvalidInput);
+  {
+    Network net("no-input");
+    net.add(layer("c", LayerKind::kConvolution));
+    add_case("no input first", std::move(net), true, StatusCode::kInvalidInput);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(net.layers()[1]);
+    add_case("duplicate name", std::move(net), true, StatusCode::kInvalidInput);
+  }
+  {
+    TinyNetConfig config;
+    config.with_fc = true;
+    Network net = testing::make_tiny_net(config);
+    net.add(layer("late_conv", LayerKind::kConvolution));
+    add_case("conv after fc", std::move(net), true, StatusCode::kInvalidInput);
+  }
+  {
+    TinyNetConfig config;
+    config.with_softmax = true;
+    Network net = testing::make_tiny_net(config);
+    net.add(layer("after_softmax", LayerKind::kInnerProduct));
+    add_case("softmax not last", std::move(net), true,
+             StatusCode::kInvalidInput);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("c2", LayerKind::kConvolution, {"nowhere"}));
+    add_case("unknown producer", std::move(net), true, StatusCode::kNotFound);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("c2", LayerKind::kConvolution, {"c2"}));
+    add_case("self reference", std::move(net), true,
+             StatusCode::kInvalidInput);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("a", LayerKind::kConvolution, {"b"}));
+    net.add(layer("b", LayerKind::kConvolution, {"a"}));
+    add_case("cycle", std::move(net), true, StatusCode::kInvalidInput);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("sum", LayerKind::kEltwiseAdd, {"conv1"}));
+    add_case("one-input join", std::move(net), true,
+             StatusCode::kInvalidInput);
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("branch", LayerKind::kConvolution, {"data"}));
+    add_case("two sinks", std::move(net), true, StatusCode::kInvalidInput);
+  }
+  {
+    TinyNetConfig config;
+    config.in_size = 4;
+    config.kernel = 6;
+    add_case("window larger than map", testing::make_tiny_net(config), false,
+             StatusCode::kInvalidInput);
+  }
+  {
+    // conv1 makes 3 maps, the 1x1 branch 2: the join's shapes disagree.
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    net.add(layer("branch", LayerKind::kConvolution, {"conv1"}));
+    net.add(layer("sum", LayerKind::kEltwiseAdd, {"conv1", "branch"}));
+    add_case("join shapes disagree", std::move(net), false,
+             StatusCode::kInvalidInput);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    testing::expect_topology_agrees(c.net);
+    const auto analyzed = c.net.analyze();
+    ASSERT_FALSE(analyzed.is_ok());
+    EXPECT_EQ(analyzed.status().code(), c.code);
+    EXPECT_EQ(c.net.validate().is_ok(), !c.structural);
+  }
+  for (const Network& valid : {make_lenet(), make_tc1(), make_tiny_resnet()}) {
+    testing::expect_topology_agrees(valid);
+  }
+}
+
 TEST(Network, SummaryMentionsEveryLayer) {
   const Network lenet = make_lenet();
   const std::string summary = lenet.summary();

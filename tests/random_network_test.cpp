@@ -440,6 +440,48 @@ TEST_P(RandomDagNetwork, DataflowMatchesReferenceBitExactAllDatapaths) {
   }
 }
 
+TEST_P(RandomDagNetwork, AnalyzeAgreesWithItsViews) {
+  Rng rng(GetParam() ^ 0x7090);
+  const nn::Network net = random_dag_network(rng);
+  ASSERT_TRUE(net.analyze().is_ok()) << net.analyze().status().to_string();
+  testing::expect_topology_agrees(net);
+
+  // Broken variants of the same DAG: an unknown producer, a cycle through
+  // the trunk, and a join whose operand shapes disagree (structurally valid).
+  const std::size_t join = [&] {
+    for (std::size_t i = 0; i < net.layer_count(); ++i) {
+      if (net.layers()[i].is_join()) {
+        return i;
+      }
+    }
+    return net.layer_count();
+  }();
+  ASSERT_LT(join, net.layer_count());
+  nn::Network unknown = net;
+  unknown.layers()[join].inputs[1] = "nowhere";
+  testing::expect_topology_agrees(unknown);
+  EXPECT_EQ(unknown.analyze().status().code(), StatusCode::kNotFound);
+
+  nn::Network cycle = net;
+  cycle.layers()[1].inputs = {net.layers()[join].name};
+  testing::expect_topology_agrees(cycle);
+  EXPECT_FALSE(cycle.validate().is_ok());
+
+  nn::Network mismatch = net;
+  const std::string& operand = net.layers()[join].inputs[0];
+  for (nn::LayerSpec& layer : mismatch.layers()) {
+    if (layer.name == operand) {
+      layer.num_output += 1;  // concat would still agree on H x W
+      layer.kernel_h = layer.kernel_w = 1;
+      layer.pad = 0;
+      layer.stride = 2;
+    }
+  }
+  testing::expect_topology_agrees(mismatch);
+  EXPECT_TRUE(mismatch.validate().is_ok());
+  EXPECT_EQ(mismatch.analyze().status().code(), StatusCode::kInvalidInput);
+}
+
 TEST_P(RandomDagNetwork, CaffeRoundTripPreservesDagTopology) {
   Rng rng(GetParam() ^ 0xCAFED);
   const nn::Network net = random_dag_network(rng);

@@ -1,6 +1,8 @@
 // Shared helpers for the Condor test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <vector>
 
 #include "common/rng.hpp"
@@ -92,6 +94,37 @@ inline nn::Network make_tiny_net(const TinyNetConfig& config) {
     net.add(softmax);
   }
   return net;
+}
+
+/// Network::analyze() agrees with every view of it: a structural error is
+/// validate()'s, any error is infer_shapes()'s, and a valid network's
+/// topology equals topological_order(), consumers(), producers() and the
+/// inferred shapes.
+inline void expect_topology_agrees(const nn::Network& net) {
+  const Result<nn::Topology> analyzed = net.analyze();
+  const Result<std::vector<nn::LayerShapes>> shapes = net.infer_shapes();
+  const Status structural = net.validate();
+  ASSERT_EQ(analyzed.is_ok(), shapes.is_ok());
+  if (!analyzed.is_ok()) {
+    EXPECT_EQ(shapes.status().to_string(), analyzed.status().to_string());
+    if (!structural.is_ok()) {
+      EXPECT_EQ(structural.to_string(), analyzed.status().to_string());
+    }
+    return;
+  }
+  ASSERT_TRUE(structural.is_ok()) << structural.to_string();
+  const nn::Topology& topology = analyzed.value();
+  EXPECT_EQ(topology.order, net.topological_order().value());
+  EXPECT_EQ(topology.consumers, net.consumers().value());
+  ASSERT_EQ(topology.producers.size(), net.layer_count());
+  ASSERT_EQ(topology.shapes.size(), net.layer_count());
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    EXPECT_EQ(topology.producers[i], net.producers(i).value()) << i;
+    EXPECT_EQ(topology.shapes[i].input, shapes.value()[i].input) << i;
+    EXPECT_EQ(topology.shapes[i].output, shapes.value()[i].output) << i;
+  }
+  EXPECT_EQ(topology.input_shape(), net.input_shape().value());
+  EXPECT_EQ(topology.output_shape(), net.output_shape().value());
 }
 
 }  // namespace condor::testing

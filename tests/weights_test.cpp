@@ -1,9 +1,12 @@
 // Unit tests for the weight store: initialization, validation, and the
 // external weight-file format (paper §3.1.1's runtime-loaded weights).
 #include <gtest/gtest.h>
+
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 
-
+#include "common/byte_io.hpp"
 #include "nn/models.hpp"
 #include "nn/weights.hpp"
 
@@ -93,6 +96,57 @@ TEST(WeightFile, RejectsGarbage) {
   std::vector<std::byte> garbage(64, std::byte{0x5A});
   EXPECT_FALSE(WeightStore::deserialize(garbage).is_ok());
   EXPECT_FALSE(WeightStore::deserialize({}).is_ok());
+}
+
+TEST(WeightFile, LeNetFormatIsPinned) {
+  // The weight-file format is fixed: the LeNet seed-7 file's size and CRC
+  // are pinned, and a parse re-serializes to the same bytes.
+  const auto bytes = initialize_weights(make_lenet(), 7).value().serialize();
+  EXPECT_EQ(bytes.size(), 1724572U);
+  EXPECT_EQ(crc32(bytes), 0x8386102EU);
+  auto restored = WeightStore::deserialize(bytes);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_TRUE(restored.value().serialize() == bytes);
+}
+
+/// A one-entry weight file with a valid CRC whose weight tensor declares
+/// `dims` but carries a single float.
+std::vector<std::byte> one_entry_file(std::initializer_list<std::uint64_t> dims) {
+  ByteWriter entry;
+  entry.u32le(2);
+  entry.string_bytes("fc");
+  entry.u32le(static_cast<std::uint32_t>(dims.size()));
+  for (const std::uint64_t dim : dims) {
+    entry.u64le(dim);
+  }
+  entry.f32le(1.0F);
+  entry.u8(0);  // no bias
+  ByteWriter file;
+  file.u32le(0x31465743);  // "CWF1"
+  file.u32le(1);
+  file.u64le(entry.size());
+  file.u32le(crc32(entry.view()));
+  file.bytes(entry.view());
+  return std::move(file).take();
+}
+
+TEST(WeightFile, DeclaredDimsMustFitTheFile) {
+  auto one = WeightStore::deserialize(one_entry_file({1}));
+  ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+  EXPECT_EQ(one.value().find("fc")->weights.shape(), (Shape{1}));
+
+  // Dims promising more floats than the entry holds (2^40, 2^62), or whose
+  // product overflows ({2^32, 2^32} wraps to 0), are rejected before
+  // anything is allocated for them.
+  for (const auto& dims : {std::initializer_list<std::uint64_t>{1ULL << 40},
+                           std::initializer_list<std::uint64_t>{1ULL << 62},
+                           std::initializer_list<std::uint64_t>{1ULL << 32,
+                                                                1ULL << 32}}) {
+    const auto result = WeightStore::deserialize(one_entry_file(dims));
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidInput)
+        << result.status().to_string();
+  }
 }
 
 TEST(WeightFile, SaveLoadFile) {
