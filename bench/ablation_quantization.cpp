@@ -54,7 +54,10 @@ ExecutorRun run_executor(const nn::Network& model, const nn::WeightStore& weight
   if (!executor.is_ok()) {
     return result;
   }
-  executor.value().run_batch(images).value();  // warm-up: compile the design
+  // Warm-up: compile the design.
+  if (!executor.value().run_batch(images).is_ok()) {
+    return result;
+  }
   const auto start = std::chrono::steady_clock::now();
   auto outputs = executor.value().run_batch(images);
   const auto stop = std::chrono::steady_clock::now();

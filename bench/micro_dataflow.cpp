@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
 #include "dataflow/fifo.hpp"
@@ -181,14 +182,9 @@ void BM_AcceleratorRepeatedBatch(benchmark::State& state) {
 BENCHMARK(BM_AcceleratorRepeatedBatch)->Arg(16)->Unit(benchmark::kMillisecond);
 
 /// Fused-chain serving: LeNet's whole feature stage clustered onto one
-/// fused PE, repeated 16-image batches through one resident executor.
-/// Arg: 0 = legacy loopback round trip (every intermediate pass re-enters
-/// the memory subsystem through mux -> filters -> port FIFOs), 1 = the
-/// PE-local fused-pass fast path (intermediates stay in the PE's grow-only
-/// double buffer). Identical clustering, byte-identical outputs — the gap
-/// between the rows is the locality win.
+/// fused PE, repeated 16-image batches through one resident executor. Only
+/// pass 0 crosses the memory subsystem; the later passes run PE-locally.
 void BM_AcceleratorFusedChain(benchmark::State& state) {
-  const bool fast_path = state.range(0) != 0;
   const nn::Network model = nn::make_lenet();
   auto weights = nn::initialize_weights(model, 1).value();
   hw::HwNetwork hw_net = hw::with_default_annotations(model);
@@ -201,7 +197,6 @@ void BM_AcceleratorFusedChain(benchmark::State& state) {
   auto plan = hw::plan_accelerator(hw_net).value();
   auto executor =
       dataflow::AcceleratorExecutor::create(plan, std::move(weights)).value();
-  executor.set_fused_pass_locality(fast_path);
   Rng rng(2);
   const Shape input_shape = model.input_shape().value();
   std::vector<Tensor> batch;
@@ -222,16 +217,12 @@ void BM_AcceleratorFusedChain(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(outputs);
   }
-  state.SetLabel(fast_path ? "pe-local" : "loopback");
   state.counters["fused_local_passes"] = static_cast<double>(
       executor.last_run_stats().fused_local_passes);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch.size()));
 }
-BENCHMARK(BM_AcceleratorFusedChain)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AcceleratorFusedChain)->Unit(benchmark::kMillisecond);
 
 /// Weight residency + multi-image pipelining on LeNet at batch 1 / 4 / 16.
 /// arg1 selects the serving mode: 0 = resident (one executor reused across
@@ -590,7 +581,7 @@ void BM_PipelineSimulator(benchmark::State& state) {
   const std::size_t stages = static_cast<std::size_t>(state.range(0));
   std::vector<sim::StageSpec> specs;
   for (std::size_t s = 0; s < stages; ++s) {
-    specs.push_back({"s" + std::to_string(s), 100 + s * 17, 1});
+    specs.push_back({strings::format("s%zu", s), 100 + s * 17, 1});
   }
   for (auto _ : state) {
     auto run = sim::simulate_pipeline(specs, 256);

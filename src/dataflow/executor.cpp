@@ -1,8 +1,6 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/strings.hpp"
 #include "dataflow/filter.hpp"
@@ -28,18 +26,6 @@ constexpr std::size_t kWeightFifoDepth = 1024;
 /// channel can never introduce a deadlock).
 constexpr std::size_t kMinEdgeDepth = 1024;
 
-/// Environment default of the fused-pass locality fast path: enabled unless
-/// CONDOR_FUSED_LOCAL is "0"/"off"/"false" (the legacy loopback round trip,
-/// kept for A/B benchmarking — results are bit-identical either way).
-bool fused_locality_env_default() noexcept {
-  const char* env = std::getenv("CONDOR_FUSED_LOCAL");
-  if (env == nullptr) {
-    return true;
-  }
-  const std::string_view value(env);
-  return !(value == "0" || value == "off" || value == "false");
-}
-
 }  // namespace
 
 Result<AcceleratorExecutor> AcceleratorExecutor::create(hw::AcceleratorPlan plan,
@@ -61,20 +47,6 @@ Result<AcceleratorExecutor> AcceleratorExecutor::create(
   return AcceleratorExecutor(std::move(plan), std::move(weights));
 }
 
-bool AcceleratorExecutor::fused_locality_enabled() const noexcept {
-  return fused_local_override_.value_or(fused_locality_env_default());
-}
-
-void AcceleratorExecutor::set_fused_pass_locality(bool enabled) noexcept {
-  const bool current = fused_locality_enabled();
-  fused_local_override_ = enabled;
-  if (design_ != nullptr && current != enabled) {
-    // The graph topology changes (loopback streams appear/disappear), so
-    // the compiled instance is stale; the next run recompiles.
-    design_.reset();
-  }
-}
-
 Status AcceleratorExecutor::build_design() {
   auto design = std::make_unique<CompiledDesign>();
 
@@ -82,18 +54,16 @@ Status AcceleratorExecutor::build_design() {
   // executor and outlive the design. Programs are filled before any module
   // takes a reference, so the vector's final addresses are stable.
   design->programs.reserve(plan_->pes.size());
-  const bool fused_local = fused_locality_enabled();
   for (std::size_t p = 0; p < plan_->pes.size(); ++p) {
     CONDOR_ASSIGN_OR_RETURN(PeProgram program,
                             build_pe_program(*plan_, p, *weights_));
-    // Fused-pass fast path: multi-pass feature/element-wise PEs keep their
-    // intermediate blobs on chip (dataflow/pe.hpp) instead of looping them
-    // through mux -> filters -> ports. Classifier PEs already run their
-    // passes in-register, and join PEs are single-pass.
+    // Multi-pass feature/element-wise PEs run every pass after the first
+    // PE-locally (dataflow/pe.hpp). Classifier PEs run their passes
+    // in-register, and join PEs are single-pass.
     const hw::PeKind kind = plan_->pes[p].kind;
-    program.fused_local = fused_local && program.passes.size() > 1 &&
-                          (kind == hw::PeKind::kFeature ||
-                           kind == hw::PeKind::kElementwise);
+    if (kind == hw::PeKind::kFeature || kind == hw::PeKind::kElementwise) {
+      design->fused_local_passes += program.passes.size() - 1;
+    }
     design->programs.push_back(std::move(program));
   }
   const std::vector<PeProgram>& programs = design->programs;
@@ -278,38 +248,23 @@ Status AcceleratorExecutor::build_design() {
     const std::size_t window_w = std::max<std::size_t>(memory.window_w, 1);
     const std::size_t lanes = std::max<std::size_t>(pe.parallel_in, 1);
 
-    Stream* loopback = nullptr;
-    if (program.passes.size() > 1 && !program.fused_local) {
-      loopback = &graph.make_stream(
-          std::max<std::size_t>(program.max_loopback_elements(), 1),
-          pe.name + "_loopback");
-    }
     // One sizing rule for the memory subsystem, the inter-PE edges' "one
     // image, capped" rule: every stream holds one image of its lane's
-    // traffic on the largest pass it carries. A chain head or inter-filter
-    // link carries ceil(C/lanes) padded input maps per pass; a filter->PE
-    // port at most ceil(C/lanes) matched out_h x out_w stripes. Under the
+    // traffic. Only pass 0 crosses the mux and the filters (later fused
+    // passes stay in the PE), so a chain head or inter-filter link carries
+    // ceil(C/lanes) padded pass-0 input maps and a filter->PE port
+    // ceil(C/lanes) matched out_h x out_w stripes. Under the
     // cooperative scheduler every full or empty edge is a suspend/re-fire
     // hand-off, so at this depth the mux and each filter move a whole pass
     // per firing instead of a few rows. (In hardware these are direct
     // wires; KPN results are capacity-independent, so the depth shows only
     // in the software schedule.)
-    std::size_t chain_elements = 1;
-    std::size_t port_elements = 1;
-    for (std::size_t pi = 0; pi < program.passes.size(); ++pi) {
-      const LayerPass& pass = program.passes[pi];
-      if (pass.kind == PassKind::kInnerProduct ||
-          (program.fused_local && pi > 0)) {
-        continue;  // never crosses the mux and the filters
-      }
-      const std::size_t maps = (pass.in_channels + lanes - 1) / lanes;
-      chain_elements = std::max(chain_elements, maps * pass.in_h * pass.in_w);
-      port_elements = std::max(port_elements, maps * pass.out_h * pass.out_w);
-    }
-    const std::size_t chain_depth =
-        std::min(chain_elements, kMaxPipelineEdgeDepth);
-    const std::size_t port_depth =
-        std::min(port_elements, kMaxPipelineEdgeDepth);
+    const LayerPass& head = program.passes.front();
+    const std::size_t maps = (head.in_channels + lanes - 1) / lanes;
+    const std::size_t chain_depth = std::clamp<std::size_t>(
+        maps * head.in_h * head.in_w, 1, kMaxPipelineEdgeDepth);
+    const std::size_t port_depth = std::clamp<std::size_t>(
+        maps * head.out_h * head.out_w, 1, kMaxPipelineEdgeDepth);
     std::vector<Stream*> chain_heads;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       chain_heads.push_back(&graph.make_stream(
@@ -317,7 +272,7 @@ Status AcceleratorExecutor::build_design() {
           strings::format("%s_chain_in_l%zu", pe.name.c_str(), lane)));
     }
     graph.add_module<SourceMuxModule>(pe.name + "_mux", program, external_in,
-                                      loopback, chain_heads);
+                                      chain_heads);
 
     // Filter chains in lexicographically inverse access order.
     std::vector<Stream*> ports(lanes * window_h * window_w, nullptr);
@@ -348,7 +303,7 @@ Status AcceleratorExecutor::build_design() {
 
     graph.add_module<FeaturePeModule>(
         pe.name, program, window_h, window_w, lanes, std::move(ports),
-        weight_stream, loopback, *pe_out, parallel_out, runtime_pool(),
+        weight_stream, *pe_out, parallel_out, runtime_pool(),
         data_type, fmt_in, fmt_out);
   }
 
@@ -414,11 +369,8 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   // capped by the host thread budget (CONDOR_THREADS or
   // hardware_concurrency) — parallel_shards' caller participation keeps the
   // lanes correct at any headroom, including zero.
-  const std::size_t lane_cap = extra_lane_worker_cap_ > 0
-                                   ? extra_lane_worker_cap_
-                                   : thread_budget();
   const std::size_t lane_headroom =
-      std::min(design_->extra_lane_workers, lane_cap);
+      std::min(design_->extra_lane_workers, thread_budget());
   const std::size_t modules = design_->graph.module_count();
   // The scheduler needs W workers of which one is the calling thread; the
   // pool never has to scale with module_count().
@@ -453,12 +405,7 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   }
   stats_.images_in_flight_hwm =
       design_->telemetry.images_in_flight_hwm.load(std::memory_order_relaxed);
-  stats_.fused_local_passes = 0;
-  for (const PeProgram& program : design_->programs) {
-    if (program.fused_local) {
-      stats_.fused_local_passes += program.passes.size() - 1;
-    }
-  }
+  stats_.fused_local_passes = design_->fused_local_passes;
 
   if (!run_status.is_ok()) {
     // A failed run leaves streams partially drained; drop the instance so

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 
@@ -65,9 +64,9 @@ struct RunStats {
   /// mover and the output collector (>= 2 proves consecutive images
   /// overlapped in the pipeline).
   std::uint64_t images_in_flight_hwm = 0;
-  /// Fused passes executed PE-locally per image (fused-pass fast path):
-  /// the sum of passes-after-the-first over every PE program running with
-  /// fused_local. Zero when the fast path is disabled or no PE is fused.
+  /// Fused passes executed PE-locally per image: the sum of
+  /// passes-after-the-first over the feature and element-wise PEs (a
+  /// property of the plan). Zero when no such PE is fused.
   std::size_t fused_local_passes = 0;
   std::vector<FifoStats> stream_stats;
   /// Per-module fire/blocked counters of the run.
@@ -94,15 +93,6 @@ class AcceleratorExecutor {
   /// streamed data changes.
   Result<std::vector<Tensor>> run_batch(std::span<const Tensor> inputs);
 
-  /// Caps the extra workers this instance may grow for intra-layer compute
-  /// lanes beyond what the module scheduler needs. Default: the host thread
-  /// budget (common::thread_budget — CONDOR_THREADS override or
-  /// hardware_concurrency). The lanes are a pure throughput lever;
-  /// parallel_shards' caller participation keeps them correct at any cap.
-  void set_extra_lane_worker_cap(std::size_t cap) noexcept {
-    extra_lane_worker_cap_ = cap;
-  }
-
   /// Worker-thread target handed to the cooperative scheduler (0 = derive
   /// from thread_budget(); clamped to [1, module_count()] per run).
   void set_scheduler_workers(std::size_t workers) noexcept {
@@ -115,14 +105,6 @@ class AcceleratorExecutor {
   /// no longer scales with module_count() per instance. Must be called
   /// before the first run_batch; the pool must outlive the executor.
   void set_shared_pool(ThreadPool* pool) noexcept { shared_pool_ = pool; }
-
-  /// Overrides the fused-pass locality fast path (default: enabled, unless
-  /// the CONDOR_FUSED_LOCAL environment toggle — "0"/"off"/"false" — selects
-  /// the legacy loopback round trip). Results are bit-identical either way;
-  /// the fast path only removes FIFO traffic for fused intermediate passes.
-  /// Flipping the value on a compiled instance drops the design, so the
-  /// next run recompiles (and restreams weights).
-  void set_fused_pass_locality(bool enabled) noexcept;
 
   /// Statistics of the most recent run_batch call.
   [[nodiscard]] const RunStats& last_run_stats() const noexcept { return stats_; }
@@ -141,6 +123,8 @@ class AcceleratorExecutor {
     /// Workers the parallel_out compute lanes may occupy beyond the
     /// one-per-module baseline (sum of parallel_out - 1 over the PEs).
     std::size_t extra_lane_workers = 0;
+    /// RunStats::fused_local_passes of every run of this design.
+    std::size_t fused_local_passes = 0;
     /// The weight streams of the design, for per-run traffic accounting
     /// (their FifoStats reset on reopen, so a warm run's writes are its own).
     std::vector<const Stream*> weight_streams;
@@ -155,10 +139,6 @@ class AcceleratorExecutor {
   /// Builds programs + graph + modules into design_ (no data movement).
   Status build_design();
 
-  /// Resolved fused-pass locality: the explicit override when set, else the
-  /// CONDOR_FUSED_LOCAL environment default (on unless "0"/"off"/"false").
-  [[nodiscard]] bool fused_locality_enabled() const noexcept;
-
   /// The pool this instance runs on: the shared pool when set, else the
   /// lazily created private pool.
   [[nodiscard]] ThreadPool* runtime_pool() const noexcept {
@@ -170,9 +150,7 @@ class AcceleratorExecutor {
   std::unique_ptr<CompiledDesign> design_;
   std::unique_ptr<ThreadPool> pool_;
   ThreadPool* shared_pool_ = nullptr;
-  std::size_t extra_lane_worker_cap_ = 0;  ///< 0 = thread_budget() default
   std::size_t scheduler_workers_ = 0;
-  std::optional<bool> fused_local_override_;
   RunStats stats_;
 };
 

@@ -29,11 +29,13 @@
 // every filter regardless of which tap the PE drains first, which keeps
 // the pipeline deadlock-free at any FIFO capacity (see fire()).
 //
-// Conditionals for fused layers (paper: "a set of conditionals within the
-// filters then ensures that the pipeline works properly ... according to
-// the currently active layer"): when the active pass's window is smaller
-// than this filter's access offset, the filter goes passive — it forwards
-// the stream but contributes no window elements.
+// Only a PE's pass 0 crosses the chain; later fused passes stay inside the
+// PE (dataflow/pe.hpp). The chain is still sized for the largest fused
+// window, so the paper's conditionals for fused layers ("a set of
+// conditionals within the filters then ensures that the pipeline works
+// properly ... according to the currently active layer") remain: when pass
+// 0's window is smaller than this filter's access offset, the filter goes
+// passive — it forwards the stream but contributes no window elements.
 #pragma once
 
 #include <vector>
@@ -89,23 +91,21 @@ class FilterModule final : public Module {
 
 /// Source multiplexer feeding a feature PE's filter chains.
 //
-// Selects the external stream for the first pass and the PE's loopback
-// stream for subsequent fused passes, inserts the zero border for padded
-// convolutions (border handling happens at the chain entrance so filters
-// operate on padded coordinates only), and deals input channel c to chain
-// lane c % lanes (the replicated memory subsystems of inter-layer
-// parallelism). Each padded map is assembled in a per-lane buffer (border
-// zeros + a burst read of the interior); a lane's whole pass leaves in one
-// burst when it fits the lane stream, one map per burst otherwise.
+// Reads pass 0's input from the external stream, inserts the zero border
+// for padded convolutions (border handling happens at the chain entrance
+// so filters operate on padded coordinates only), and deals input channel
+// c to chain lane c % lanes (the replicated memory subsystems of
+// inter-layer parallelism). Each padded map is assembled in a per-lane
+// buffer (border zeros + a burst read of the interior); a lane's whole pass
+// leaves in one burst when it fits the lane stream, one map per burst
+// otherwise.
 class SourceMuxModule final : public Module {
  public:
-  /// `loopback` may be null when the program has a single pass.
   SourceMuxModule(std::string name, const PeProgram& program, Stream& external,
-                  Stream* loopback, std::vector<Stream*> outs)
+                  std::vector<Stream*> outs)
       : Module(std::move(name)),
         program_(program),
         external_(external),
-        loopback_(loopback),
         outs_(std::move(outs)) {}
 
   Fire fire(const RunContext& ctx) override;
@@ -113,7 +113,6 @@ class SourceMuxModule final : public Module {
  private:
   const PeProgram& program_;
   Stream& external_;
-  Stream* loopback_;
   std::vector<Stream*> outs_;
 
   /// Steady-state buffers (persist across images and batches): the padded

@@ -45,7 +45,7 @@ Fire read_fmt_word(Stream* stream, int& frac, const std::string& pe_name) {
 /// activated float blob, quantizes to codes, and emits — format word first
 /// (when this edge has a format side-channel; fused intermediates keep the
 /// format in a PE-local variable instead), then the codes stored in float
-/// words. A local sink (fused-pass fast path) takes the identical
+/// words. A local sink (a fused intermediate pass) takes the identical
 /// codes-as-floats sequence without any FIFO transaction. `codes` / `blob`
 /// are caller-owned scratch (module members) so the steady state stays off
 /// the heap.
@@ -74,8 +74,8 @@ Fire emit_requantized(const std::string& pe_name, PassSink sink,
 }
 
 /// Routes one float pass-output blob to its sink: appended to the PE-local
-/// fused buffer (fast path — no FIFO transaction) or burst-written to the
-/// stream. Append semantics match the per-channel burst sites (pooling,
+/// fused buffer (no FIFO transaction) or burst-written to the stream.
+/// Append semantics match the per-channel burst sites (pooling,
 /// element-wise), so the local buffer accumulates the exact stream byte
 /// sequence.
 Fire write_blob(const std::string& pe_name, PassSink sink,
@@ -160,25 +160,18 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
       PassSink sink;
       if (last) {
         sink.stream = &out_;
-      } else if (program_.fused_local) {
-        // Fast path: the intermediate blob stays on chip, accumulating the
-        // exact byte sequence the loopback round-trip would carry. clear()
-        // keeps the high-water capacity (zero-allocation warm state).
+      } else {
+        // The intermediate blob stays on chip, accumulating the exact byte
+        // sequence a stream would carry. clear() keeps the high-water
+        // capacity (zero-allocation warm state).
         fused_next_.clear();
         sink.local = &fused_next_;
-      } else {
-        if (loopback_ == nullptr) {
-          co_return internal_error("PE '" + name() +
-                                   "': missing loopback stream");
-        }
-        sink.stream = loopback_;
       }
       if (!fixed) {
         CONDOR_CO_RETURN_IF_ERROR(co_await run_pass(pi, pass, sink));
       } else {
-        // Fused intermediate blobs keep their format PE-local (no format
-        // side-channel on the loopback edge or the fast path); only the
-        // last pass publishes.
+        // Fused intermediate blobs keep their format PE-local; only the
+        // last pass publishes one.
         int out_frac = 0;
         CONDOR_CO_RETURN_IF_ERROR(co_await run_pass_fixed(
             pi, pass, sink, last ? fmt_out_ : nullptr, frac, out_frac));
@@ -190,9 +183,6 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
     }
   }
   out_.close();
-  if (loopback_ != nullptr) {
-    loopback_->close();
-  }
   if (fmt_out_ != nullptr) {
     fmt_out_->close();
   }
@@ -273,13 +263,12 @@ void FeaturePeModule::gather_local_stripe(const LayerPass& pass,
                                           std::size_t channel,
                                           std::span<float> stage) const
     noexcept {
-  // The retained blob holds the previous pass's output in (c, y, x) order —
-  // the exact loopback byte sequence. The round-trip route would pad it
-  // (mux: zero border of `pad` per side) and match each access's domain
-  // (filter: y = oy*stride + ky, x = ox*stride + kx in the padded frame);
-  // gathering straight from the blob with the same index arithmetic yields
-  // the identical values in the identical tap-major layout, so the
-  // accumulation downstream cannot tell the routes apart.
+  // The retained blob holds the previous pass's output in (c, y, x) order.
+  // The memory subsystem would pad it (mux: zero border of `pad` per side)
+  // and match each access's domain (filter: y = oy*stride + ky,
+  // x = ox*stride + kx in the padded frame); gathering straight from the
+  // blob with the same index arithmetic yields the identical values in the
+  // identical tap-major layout a port read stages.
   const std::size_t inner_h = pass.in_h - 2 * pass.pad;
   const std::size_t inner_w = pass.in_w - 2 * pass.pad;
   const float* map = fused_prev_.data() + channel * inner_h * inner_w;

@@ -48,7 +48,7 @@
 // out of band on a per-edge format stream: one word per image, written by
 // the producer BEFORE the blob data (so readers never wait on a format word
 // behind unconsumed blob data). Fused passes keep the intermediate format
-// in a PE-local variable — the loopback channel has no format stream. PEs
+// in a PE-local variable next to the PE-local intermediate blob. PEs
 // quantize their own weights from the raw float weight stream with the same
 // nn/numeric.hpp helpers the QuantizedEngine uses, MAC raw codes in a
 // widened integer accumulator, and requantize the full output blob at every
@@ -87,10 +87,9 @@
 
 namespace condor::dataflow {
 
-/// Where a pass's output blob goes: an inter-module stream (the downstream
-/// edge, or the loopback of a round-trip fused design) or — on the
-/// fused-pass fast path — a PE-local grow-only buffer that never touches a
-/// FIFO. Exactly one of the two is set.
+/// Where a pass's output blob goes: the downstream stream (last pass) or a
+/// PE-local grow-only buffer that never touches a FIFO (every earlier
+/// fused pass). Exactly one of the two is set.
 struct PassSink {
   Stream* stream = nullptr;
   std::vector<float>* local = nullptr;
@@ -104,17 +103,17 @@ class FeaturePeModule final : public Module {
   /// parallelism); channel c belongs to lane c % lanes. `weights`
   /// (nullable when no pass carries parameters) delivers the one-time
   /// weight load from the datamover (latched resident on first receipt);
-  /// `loopback` (nullable) carries
-  /// intermediate fused-pass results back to the source mux; `out` is the
-  /// downstream PE stream. `parallel_out` compute lanes split each
-  /// convolution pass's output channels across `lane_pool` (nullable for
-  /// sequential execution). For a fixed `data_type`, `fmt_in` / `fmt_out`
-  /// carry the per-image input/output blob formats (one frac_bits word per
-  /// image, ahead of the blob data).
+  /// `out` is the downstream PE stream. Only pass 0 reads the ports; every
+  /// later fused pass reads the previous pass's blob, kept PE-locally.
+  /// `parallel_out` compute lanes split each convolution pass's output
+  /// channels across `lane_pool` (nullable for sequential execution). For
+  /// a fixed `data_type`, `fmt_in` / `fmt_out` carry the per-image
+  /// input/output blob formats (one frac_bits word per image, ahead of the
+  /// blob data).
   FeaturePeModule(std::string name, const PeProgram& program,
                   std::size_t window_h_max, std::size_t window_w_max,
                   std::size_t lanes, std::vector<Stream*> ports, Stream* weights,
-                  Stream* loopback, Stream& out, std::size_t parallel_out = 1,
+                  Stream& out, std::size_t parallel_out = 1,
                   ThreadPool* lane_pool = nullptr,
                   nn::DataType data_type = nn::DataType::kFloat32,
                   Stream* fmt_in = nullptr, Stream* fmt_out = nullptr)
@@ -128,7 +127,6 @@ class FeaturePeModule final : public Module {
         data_type_(data_type),
         ports_(std::move(ports)),
         weights_(weights),
-        loopback_(loopback),
         out_(out),
         fmt_in_(fmt_in),
         fmt_out_(fmt_out) {}
@@ -173,23 +171,22 @@ class FeaturePeModule final : public Module {
   Fire read_port_stripe(const LayerPass& pass, std::size_t lane,
                         std::span<float> stage);
 
-  /// Fast-path input for fused passes after the first: this pass reads the
-  /// retained previous-pass blob (fused_prev_) instead of the port FIFOs.
-  [[nodiscard]] bool local_input(std::size_t pass_index) const noexcept {
-    return program_.fused_local && pass_index > 0;
+  /// Fused passes after the first read the retained previous-pass blob
+  /// (fused_prev_) instead of the port FIFOs.
+  [[nodiscard]] static bool local_input(std::size_t pass_index) noexcept {
+    return pass_index > 0;
   }
 
-  /// Fast-path analog of read_port_stripe: stages channel `channel`'s full
-  /// tap-major stripe from the retained previous-pass blob, reproducing the
-  /// round-trip route exactly — the mux's zero border (padded coordinates,
-  /// zeros outside the interior) and each filter's matched domain
-  /// (y = oy*stride + ky, x = ox*stride + kx) — so stage holds the
-  /// identical values in the identical layout and the arithmetic downstream
-  /// cannot tell the routes apart.
+  /// PE-local analog of read_port_stripe: stages channel `channel`'s full
+  /// tap-major stripe from the retained previous-pass blob, applying the
+  /// mux's zero border (padded coordinates, zeros outside the interior) and
+  /// each filter's matched domain (y = oy*stride + ky, x = ox*stride + kx),
+  /// so stage holds the values the memory subsystem would deliver, in the
+  /// same layout.
   void gather_local_stripe(const LayerPass& pass, std::size_t channel,
                            std::span<float> stage) const noexcept;
 
-  /// Fast-path analog of a whole-map port read (1x1-window passes): the
+  /// PE-local analog of a whole-map port read (1x1-window passes): the
   /// padded in_h x in_w map of channel `channel` from the retained blob.
   void gather_local_map(const LayerPass& pass, std::size_t channel,
                         std::span<float> map) const noexcept;
@@ -238,7 +235,6 @@ class FeaturePeModule final : public Module {
   nn::DataType data_type_;
   std::vector<Stream*> ports_;
   Stream* weights_;
-  Stream* loopback_;
   Stream& out_;
   Stream* fmt_in_;
   Stream* fmt_out_;
@@ -261,12 +257,12 @@ class FeaturePeModule final : public Module {
   std::vector<float> map_;
   std::vector<std::int32_t> emit_codes_;       ///< requantize scratch
   std::vector<float> emit_blob_;
-  /// Fused-pass fast path: the previous pass's output blob, retained
-  /// PE-locally in exactly the byte sequence the loopback would have
-  /// carried ((c, y, x) order; fixed datapaths: requantized codes in float
-  /// words), and the buffer the current pass appends into. Double-buffered
-  /// and swapped per pass; clear() keeps the high-water capacity, so the
-  /// warm steady state stays off the heap.
+  /// Fused passes: the previous pass's output blob, retained PE-locally in
+  /// exactly the byte sequence a stream would carry ((c, y, x) order; fixed
+  /// datapaths: requantized codes in float words), and the buffer the
+  /// current pass appends into. Double-buffered and swapped per pass;
+  /// clear() keeps the high-water capacity, so the warm steady state stays
+  /// off the heap.
   std::vector<float> fused_prev_;
   std::vector<float> fused_next_;
 };

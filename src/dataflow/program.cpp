@@ -1,7 +1,5 @@
 #include "dataflow/program.hpp"
 
-#include <algorithm>
-
 #include "common/strings.hpp"
 
 namespace condor::dataflow {
@@ -25,14 +23,6 @@ std::size_t PeProgram::weight_stream_elements() const noexcept {
     total += pass.params->weights.size() + pass.params->bias.size();
   }
   return total;
-}
-
-std::size_t PeProgram::max_loopback_elements() const noexcept {
-  std::size_t max_elements = 0;
-  for (std::size_t i = 0; i + 1 < passes.size(); ++i) {
-    max_elements = std::max(max_elements, passes[i].output_elements());
-  }
-  return max_elements;
 }
 
 Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,

@@ -3,11 +3,13 @@
 // A PE may implement several fused logical layers (paper §3.2: "an
 // additional outer loop that iterates through the implemented layers, and a
 // set of conditionals to infer which input ports must be read"). The
-// program lists one LayerPass per fused layer; the filter modules, the
-// source multiplexer and the PE all iterate the same program so the stream
-// contents stay deterministic without control tokens — exactly like the
-// synthesized hardware, where the schedule is compiled into each module's
-// loop nest.
+// program lists one LayerPass per fused layer. Only pass 0 crosses the
+// source multiplexer and the filter modules; the PE runs every pass and
+// keeps each intermediate blob on chip, gathering the next pass's window
+// stripes from it (dataflow/pe.hpp). Every module derives its stream
+// traffic from the same program, so the stream contents stay deterministic
+// without control tokens — exactly like the synthesized hardware, where the
+// schedule is compiled into each module's loop nest.
 #pragma once
 
 #include <cstddef>
@@ -69,16 +71,6 @@ struct LayerPass {
 struct PeProgram {
   std::vector<LayerPass> passes;
 
-  /// Fused-pass locality (executor fast path): when set, intermediate
-  /// fused-pass blobs stay inside the PE in a grow-only local buffer — the
-  /// mux, the filter chains and the PE all run only pass 0 through the
-  /// memory subsystem, and every later pass gathers its window stripes from
-  /// the retained previous-pass blob (dataflow/pe.hpp). The gather
-  /// reproduces the mux padding and the filter domain exactly, so results
-  /// are bit-identical to the loopback round-trip; what changes is the
-  /// traffic (no loopback/chain/port FIFO transactions for fused passes).
-  bool fused_local = false;
-
   /// Weight elements the datamover streams to this PE, in canonical order
   /// (per weighted pass: all weights oc-major, then the biases). Every PE
   /// receives this exactly once per compiled design (weight residency: the
@@ -93,8 +85,6 @@ struct PeProgram {
   [[nodiscard]] std::size_t output_elements() const noexcept {
     return passes.empty() ? 0 : passes.back().output_elements();
   }
-  /// Largest intermediate blob routed through the loopback channel.
-  [[nodiscard]] std::size_t max_loopback_elements() const noexcept;
 };
 
 /// Builds the program for plan.pes[pe_index], resolving weights from

@@ -22,6 +22,12 @@ std::string SynthesisReport::to_string(const hw::BoardSpec& board) const {
   return out;
 }
 
+Result<SynthesisReport> synthesize(const hw::AcceleratorPlan& plan) {
+  const nn::DataType type = plan.data_type();
+  return synthesize(plan, SynthesisOptions{hw::cost_model_for(type),
+                                           hw::timing_model_for(type)});
+}
+
 Result<SynthesisReport> synthesize(const hw::AcceleratorPlan& plan,
                                    const SynthesisOptions& options) {
   SynthesisReport report;

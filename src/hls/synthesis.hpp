@@ -43,9 +43,13 @@ struct SynthesisOptions {
   hw::TimingModel timing;
 };
 
-/// Runs the simulated synthesis of a plan. Fails (kUnsynthesizable) when
-/// the design does not fit the board.
+/// Runs the simulated synthesis of a plan, priced with the cost and timing
+/// presets of the plan's datapath (hw::cost_model_for / timing_model_for).
+/// Fails (kUnsynthesizable) when the design does not fit the board.
+Result<SynthesisReport> synthesize(const hw::AcceleratorPlan& plan);
+
+/// Same, priced with the caller's cost and timing models.
 Result<SynthesisReport> synthesize(const hw::AcceleratorPlan& plan,
-                                   const SynthesisOptions& options = {});
+                                   const SynthesisOptions& options);
 
 }  // namespace condor::hls

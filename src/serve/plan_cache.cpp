@@ -90,13 +90,6 @@ std::uint64_t plan_fingerprint(const hw::HwNetwork& network) {
 }
 
 Result<std::shared_ptr<PlanCache::Entry>> PlanCache::get_or_create(
-    const nn::Network& network, const nn::WeightStore& weights,
-    nn::DataType data_type, std::size_t instances) {
-  return get_or_create(hw::with_default_annotations(network), weights,
-                       data_type, instances);
-}
-
-Result<std::shared_ptr<PlanCache::Entry>> PlanCache::get_or_create(
     const hw::HwNetwork& hw_network, const nn::WeightStore& weights,
     nn::DataType data_type, std::size_t instances) {
   Key key;

@@ -68,21 +68,16 @@ class PlanCache {
   explicit PlanCache(std::size_t capacity = 8)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// Returns the warm entry for (network, weights, data_type, instances),
-  /// or compiles plan + pool on a miss and caches it (evicting the least
-  /// recently used entry at capacity). Thread-safe; the compile runs under
-  /// the cache lock so concurrent sessions for the same key compile once.
-  /// Uses the default hardware annotations (every layer on its own PE).
-  Result<std::shared_ptr<Entry>> get_or_create(const nn::Network& network,
-                                               const nn::WeightStore& weights,
-                                               nn::DataType data_type,
-                                               std::size_t instances);
-
-  /// Annotated variant: the caller supplies the hardware annotations
-  /// (board, clock, parallelism, fusion clustering), and their digest joins
-  /// the key — two tenants serving the same topology with different fused
-  /// designs get distinct compiled plans. `hw_network.hw.data_type` is
-  /// overridden by `data_type` (it is part of the key either way).
+  /// Returns the warm entry for (hw_network, weights, data_type,
+  /// instances), or compiles plan + pool on a miss and caches it (evicting
+  /// the least recently used entry at capacity). Thread-safe; the compile
+  /// runs under the cache lock so concurrent sessions for the same key
+  /// compile once. The caller supplies the hardware annotations (board,
+  /// clock, parallelism, fusion clustering; hw::with_default_annotations
+  /// puts every layer on its own PE), and their digest joins the key — two
+  /// tenants serving the same topology with different fused designs get
+  /// distinct compiled plans. `hw_network.hw.data_type` is overridden by
+  /// `data_type` (it is part of the key either way).
   Result<std::shared_ptr<Entry>> get_or_create(const hw::HwNetwork& hw_network,
                                                const nn::WeightStore& weights,
                                                nn::DataType data_type,

@@ -126,7 +126,7 @@ TEST(DataflowExecutor, Tc1LargerBatchMatchesReference) {
 
 TEST(DataflowExecutor, FusedFeatureLayersMatchReference) {
   // Cluster conv+pool onto one PE (pe_group fusion) — exercises the outer
-  // layer loop, the loopback channel and the filter conditionals.
+  // layer loop, the PE-local fused pass and the filter conditionals.
   TinyNetConfig config;
   config.with_pool = true;
   config.with_fc = true;

@@ -4,17 +4,15 @@
 // The contract under test: a plan whose feature chain is clustered onto
 // fused PEs (pe_group annotations) produces BYTE-identical outputs to
 //   (a) the software oracle (golden reference for float32, quantized
-//       engine for the fixed datapaths),
-//   (b) the unfused plan of the same network, and
-//   (c) the same fused plan with the PE-local fast path disabled (the
-//       legacy loopback round trip through mux -> filters -> ports),
-// across models x numeric datapaths x parallel_out x fusion degrees. The
-// fast path only changes where intermediate blobs live, never their bytes.
+//       engine for the fixed datapaths), and
+//   (b) the unfused plan of the same network,
+// across models x numeric datapaths x parallel_out x fusion degrees. Only
+// a fused PE's pass 0 crosses the memory subsystem; every later pass runs
+// PE-locally, and RunStats::fused_local_passes counts those passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,33 +87,67 @@ std::size_t apply_fusion(hw::HwNetwork& net, std::size_t degree) {
   return fused_groups;
 }
 
+/// The fused passes a plan runs PE-locally per image: passes after the
+/// first of every feature / element-wise PE.
+std::size_t plan_fused_local_passes(const hw::AcceleratorPlan& plan) {
+  std::size_t passes = 0;
+  for (const hw::PePlan& pe : plan.pes) {
+    if (pe.kind == hw::PeKind::kFeature ||
+        pe.kind == hw::PeKind::kElementwise) {
+      passes += pe.layer_indices.size() - 1;
+    }
+  }
+  return passes;
+}
+
+/// The oracle outputs of `inputs` on `data_type`'s datapath: the golden
+/// reference for float32, the quantized engine for the fixed datapaths.
+/// Empty, with a recorded failure, when the oracle itself fails.
+std::vector<Tensor> oracle_outputs(const nn::Network& network,
+                                   const nn::WeightStore& weights,
+                                   nn::DataType data_type,
+                                   const std::vector<Tensor>& inputs) {
+  const auto run_all = [&](const auto& engine) {
+    std::vector<Tensor> expected;
+    for (const Tensor& image : inputs) {
+      auto oracle = engine.forward(image);
+      if (!oracle.is_ok()) {
+        ADD_FAILURE() << oracle.status().to_string();
+        return std::vector<Tensor>{};
+      }
+      expected.push_back(std::move(oracle).value());
+    }
+    return expected;
+  };
+  if (nn::is_fixed_point(data_type)) {
+    auto engine = nn::QuantizedEngine::create(network, weights, data_type);
+    if (!engine.is_ok()) {
+      ADD_FAILURE() << engine.status().to_string();
+      return {};
+    }
+    return run_all(engine.value());
+  }
+  auto engine = nn::ReferenceEngine::create(network, weights);
+  if (!engine.is_ok()) {
+    ADD_FAILURE() << engine.status().to_string();
+    return {};
+  }
+  return run_all(engine.value());
+}
+
 void expect_fusion_matrix_bit_exact(const nn::Network& network,
                                     std::uint64_t seed) {
   auto weights = nn::initialize_weights(network, seed);
   ASSERT_TRUE(weights.is_ok()) << weights.status().to_string();
-  auto fengine = nn::ReferenceEngine::create(network, weights.value());
-  ASSERT_TRUE(fengine.is_ok());
   const auto inputs = testing::random_inputs(network, 3, seed + 1);
   const auto shapes = network.infer_shapes().value();
 
   for (const nn::DataType data_type :
        {nn::DataType::kFloat32, nn::DataType::kFixed16,
         nn::DataType::kFixed8}) {
-    const bool fixed = nn::is_fixed_point(data_type);
-    std::optional<nn::QuantizedEngine> qengine;
-    if (fixed) {
-      auto engine =
-          nn::QuantizedEngine::create(network, weights.value(), data_type);
-      ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
-      qengine = std::move(engine).value();
-    }
-    std::vector<Tensor> expected;
-    for (const Tensor& image : inputs) {
-      auto oracle =
-          fixed ? qengine->forward(image) : fengine.value().forward(image);
-      ASSERT_TRUE(oracle.is_ok()) << oracle.status().to_string();
-      expected.push_back(std::move(oracle).value());
-    }
+    const std::vector<Tensor> expected =
+        oracle_outputs(network, weights.value(), data_type, inputs);
+    ASSERT_EQ(expected.size(), inputs.size());
 
     for (const std::size_t parallel_out : {std::size_t{1}, std::size_t{2}}) {
       for (const std::size_t degree :
@@ -142,30 +174,19 @@ void expect_fusion_matrix_bit_exact(const nn::Network& network,
                                                               weights.value());
         ASSERT_TRUE(executor.is_ok()) << executor.status().to_string();
 
-        // Fast path on (the default): bit-exact against the oracle == the
-        // unfused plan's outputs (the oracle is clustering-independent).
+        // Bit-exact against the oracle == the unfused plan's outputs (the
+        // oracle is clustering-independent).
         auto outputs = executor.value().run_batch(inputs);
         ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
         ASSERT_EQ(outputs.value().size(), inputs.size());
         for (std::size_t i = 0; i < inputs.size(); ++i) {
           EXPECT_EQ(max_abs_diff(outputs.value()[i], expected[i]), 0.0F)
-              << "fused fast path diverges on image " << i;
+              << "fused plan diverges on image " << i;
         }
-        if (fused_groups > 0) {
-          EXPECT_GT(executor.value().last_run_stats().fused_local_passes, 0U)
-              << "fused plan did not exercise the PE-local fast path";
-        }
-
-        // Legacy round trip (fast path off): still bit-exact, no PE-local
-        // passes. Flipping the toggle recompiles the design.
-        executor.value().set_fused_pass_locality(false);
-        auto roundtrip = executor.value().run_batch(inputs);
-        ASSERT_TRUE(roundtrip.is_ok()) << roundtrip.status().to_string();
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-          EXPECT_EQ(max_abs_diff(roundtrip.value()[i], expected[i]), 0.0F)
-              << "loopback round trip diverges on image " << i;
-        }
-        EXPECT_EQ(executor.value().last_run_stats().fused_local_passes, 0U);
+        const std::size_t fused_passes = plan_fused_local_passes(plan.value());
+        EXPECT_EQ(fused_passes > 0, fused_groups > 0);
+        EXPECT_EQ(executor.value().last_run_stats().fused_local_passes,
+                  fused_passes);
       }
     }
   }
@@ -194,32 +215,51 @@ TEST(ExecutorFusion, FusedPlanShrinksPeCount) {
   EXPECT_LT(fused.value().pes.size(), unfused_pes);
 }
 
-TEST(ExecutorFusion, ToggleRecompilesAndRestoresFastPath) {
-  const nn::Network network = nn::make_tc1();
-  auto weights = nn::initialize_weights(network, 229);
-  ASSERT_TRUE(weights.is_ok());
-  hw::HwNetwork hw_net = hw::with_default_annotations(network);
-  ASSERT_GT(apply_fusion(hw_net, kWholeStage), 0U);
-  auto plan = hw::plan_accelerator(hw_net);
-  ASSERT_TRUE(plan.is_ok());
-  auto executor =
-      dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
-  ASSERT_TRUE(executor.is_ok());
-  const auto inputs = testing::random_inputs(network, 2, 233);
+TEST(ExecutorFusion, SmallerPassZeroWindowBitExact) {
+  // LeNet pool1 + conv2 on one PE: pass 0 is the 2x2 pooling window, but
+  // the chain is sized for conv2's 5x5, so 16 of the 25 filters only
+  // forward (the filter conditionals) and conv2 runs PE-locally.
+  const nn::Network network = nn::make_lenet();
+  auto weights = nn::initialize_weights(network, 239);
+  ASSERT_TRUE(weights.is_ok()) << weights.status().to_string();
+  const auto inputs = testing::random_inputs(network, 3, 241);
+  for (const nn::DataType data_type :
+       {nn::DataType::kFloat32, nn::DataType::kFixed16,
+        nn::DataType::kFixed8}) {
+    const std::vector<Tensor> expected =
+        oracle_outputs(network, weights.value(), data_type, inputs);
+    ASSERT_EQ(expected.size(), inputs.size());
+    for (const std::size_t parallel_in : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(strings::format(
+          "%s pi=%zu", std::string(nn::to_string(data_type)).c_str(),
+          parallel_in));
+      hw::HwNetwork hw_net = hw::with_default_annotations(network);
+      hw_net.hw.data_type = data_type;
+      hw_net.hw.layers[2].pe_group = 0;  // pool1
+      hw_net.hw.layers[3].pe_group = 0;  // conv2
+      hw_net.hw.layers[2].parallel_in = parallel_in;
+      ASSERT_TRUE(hw_net.validate().is_ok()) << hw_net.validate().to_string();
+      auto plan = hw::plan_accelerator(hw_net);
+      ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+      const hw::PePlan& fused = plan.value().pes[1];
+      ASSERT_EQ(fused.layer_indices, (std::vector<std::size_t>{2, 3}));
+      ASSERT_EQ(fused.parallel_in, parallel_in);
+      ASSERT_EQ(fused.memory->window_h, 5U);
+      ASSERT_EQ(fused.memory->filters.size(), 25U);
 
-  ASSERT_TRUE(executor.value().run_batch(inputs).is_ok());
-  const std::size_t fused_passes =
-      executor.value().last_run_stats().fused_local_passes;
-  EXPECT_GT(fused_passes, 0U);
-
-  executor.value().set_fused_pass_locality(false);
-  ASSERT_TRUE(executor.value().run_batch(inputs).is_ok());
-  EXPECT_EQ(executor.value().last_run_stats().fused_local_passes, 0U);
-
-  executor.value().set_fused_pass_locality(true);
-  ASSERT_TRUE(executor.value().run_batch(inputs).is_ok());
-  EXPECT_EQ(executor.value().last_run_stats().fused_local_passes,
-            fused_passes);
+      auto executor = dataflow::AcceleratorExecutor::create(plan.value(),
+                                                            weights.value());
+      ASSERT_TRUE(executor.is_ok()) << executor.status().to_string();
+      auto outputs = executor.value().run_batch(inputs);
+      ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
+      ASSERT_EQ(outputs.value().size(), inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_EQ(max_abs_diff(outputs.value()[i], expected[i]), 0.0F)
+            << "image " << i;
+      }
+      EXPECT_EQ(executor.value().last_run_stats().fused_local_passes, 1U);
+    }
+  }
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST(Codegen, TanhActivationEmitted) {
 TEST(Codegen, FusedPeKeepsIntermediatePassesLocal) {
   // conv1+pool1 fused on one PE: pass 0 reads the window ports, pass 1
   // gathers from the retained PE-local buffer and only the last pass
-  // touches out_stream — the loopback disappears from the generated code.
+  // touches out_stream — no pass after the first re-enters the ports.
   hw::HwNetwork net = hw::with_default_annotations(nn::make_lenet());
   net.hw.layers[1].pe_group = 0;  // conv1
   net.hw.layers[2].pe_group = 0;  // pool1

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "condor/flow.hpp"
+#include "hls/synthesis.hpp"
 #include "nn/models.hpp"
 #include "nn/reference.hpp"
 #include "nn/weights.hpp"
@@ -242,6 +243,32 @@ TEST(KernelRunner, RequiresWeightsBeforeRun) {
   EXPECT_FALSE(kernel.value().run(inputs).is_ok());
   ASSERT_TRUE(kernel.value().load_weights(fixture.flow.weight_file_bytes).is_ok());
   EXPECT_TRUE(kernel.value().run(inputs).is_ok());
+}
+
+TEST(KernelRunner, FixedPointClockMatchesTheFlowSynthesis) {
+  // A fixed8 TC1: its tanh PEs close at the fixed8 timing preset
+  // (transcendental factor 0.90 against float32's 0.46). The loaded kernel
+  // must price the plan the way the flow that built it did.
+  const nn::Network model = nn::make_tc1();
+  hw::HwNetwork annotated = hw::with_default_annotations(model);
+  annotated.hw.data_type = nn::DataType::kFixed8;
+  condorflow::FrontendInput input;
+  input.network_json_text = hw::to_json_text(annotated);
+  input.weight_file_bytes =
+      nn::initialize_weights(model, 9).value().serialize();
+  auto flow = condorflow::Flow::run(input, condorflow::FlowOptions{});
+  ASSERT_TRUE(flow.is_ok()) << flow.status().to_string();
+  auto kernel = LoadedKernel::from_xclbin(flow.value().xclbin);
+  ASSERT_TRUE(kernel.is_ok()) << kernel.status().to_string();
+  EXPECT_EQ(kernel.value().clock_mhz(),
+            flow.value().synthesis.achieved_clock_mhz);
+
+  // The float32 presets would have priced the same plan lower.
+  auto float_priced =
+      hls::synthesize(flow.value().plan, hls::SynthesisOptions{});
+  ASSERT_TRUE(float_priced.is_ok()) << float_priced.status().to_string();
+  EXPECT_LT(float_priced.value().achieved_clock_mhz,
+            kernel.value().clock_mhz());
 }
 
 }  // namespace

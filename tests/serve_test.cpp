@@ -10,6 +10,7 @@
 
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
+#include "hls/synthesis.hpp"
 #include "hw/accel_plan.hpp"
 #include "hw/hw_ir.hpp"
 #include "nn/models.hpp"
@@ -313,13 +314,14 @@ TEST(PlanCacheTest, WeightFingerprintTracksParameterBytes) {
 TEST(PlanCacheTest, RepeatSessionHitsAndSharesThePool) {
   const nn::Network net =
       condor::testing::make_tiny_net(condor::testing::TinyNetConfig{});
+  const hw::HwNetwork hw_net = hw::with_default_annotations(net);
   const nn::WeightStore weights = nn::initialize_weights(net, 5).value();
   PlanCache cache(4);
   auto first =
-      cache.get_or_create(net, weights, nn::DataType::kFloat32, 2);
+      cache.get_or_create(hw_net, weights, nn::DataType::kFloat32, 2);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
   auto second =
-      cache.get_or_create(net, weights, nn::DataType::kFloat32, 2);
+      cache.get_or_create(hw_net, weights, nn::DataType::kFloat32, 2);
   ASSERT_TRUE(second.is_ok());
   // Warm hit: the very same entry (and thus the same compiled pool).
   EXPECT_EQ(first.value().get(), second.value().get());
@@ -329,10 +331,11 @@ TEST(PlanCacheTest, RepeatSessionHitsAndSharesThePool) {
 
   // Any key component change is a compile, not a stale hit.
   auto fixed =
-      cache.get_or_create(net, weights, nn::DataType::kFixed8, 2);
+      cache.get_or_create(hw_net, weights, nn::DataType::kFixed8, 2);
   ASSERT_TRUE(fixed.is_ok());
   EXPECT_NE(fixed.value().get(), first.value().get());
-  auto wider = cache.get_or_create(net, weights, nn::DataType::kFloat32, 3);
+  auto wider =
+      cache.get_or_create(hw_net, weights, nn::DataType::kFloat32, 3);
   ASSERT_TRUE(wider.is_ok());
   EXPECT_NE(wider.value().get(), first.value().get());
   EXPECT_EQ(cache.stats().misses, 3u);
@@ -378,12 +381,6 @@ TEST(PlanCacheTest, PlanParameterDigestSeparatesClusterings) {
   EXPECT_EQ(again.value().get(), clustered.value().get());
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // The legacy network-based API keys on the default annotations, so it
-  // coincides with the explicit default-annotated HwNetwork entry.
-  auto legacy = cache.get_or_create(net, weights, nn::DataType::kFloat32, 1);
-  ASSERT_TRUE(legacy.is_ok());
-  EXPECT_EQ(legacy.value().get(), plain.value().get());
-
   // Both clusterings serve, byte-identically (fusion never changes bytes).
   const auto inputs = condor::testing::random_inputs(net, 2, 7);
   auto plain_out = plain.value()->pool->run_batch(inputs);
@@ -398,23 +395,24 @@ TEST(PlanCacheTest, PlanParameterDigestSeparatesClusterings) {
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   const nn::Network net =
       condor::testing::make_tiny_net(condor::testing::TinyNetConfig{});
+  const hw::HwNetwork hw_net = hw::with_default_annotations(net);
   const nn::WeightStore weights = nn::initialize_weights(net, 5).value();
   PlanCache cache(2);
   ASSERT_TRUE(
-      cache.get_or_create(net, weights, nn::DataType::kFloat32, 1).is_ok());
+      cache.get_or_create(hw_net, weights, nn::DataType::kFloat32, 1).is_ok());
   ASSERT_TRUE(
-      cache.get_or_create(net, weights, nn::DataType::kFixed16, 1).is_ok());
+      cache.get_or_create(hw_net, weights, nn::DataType::kFixed16, 1).is_ok());
   // Touch the first entry so the second is the LRU victim.
   ASSERT_TRUE(
-      cache.get_or_create(net, weights, nn::DataType::kFloat32, 1).is_ok());
+      cache.get_or_create(hw_net, weights, nn::DataType::kFloat32, 1).is_ok());
   ASSERT_TRUE(
-      cache.get_or_create(net, weights, nn::DataType::kFixed8, 1).is_ok());
+      cache.get_or_create(hw_net, weights, nn::DataType::kFixed8, 1).is_ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   // The touched entry survived; the evicted one recompiles.
   EXPECT_EQ(cache.stats().hits, 1u);
   auto again =
-      cache.get_or_create(net, weights, nn::DataType::kFixed16, 1);
+      cache.get_or_create(hw_net, weights, nn::DataType::kFixed16, 1);
   ASSERT_TRUE(again.is_ok());
   EXPECT_EQ(cache.stats().misses, 4u);
 }
@@ -537,6 +535,31 @@ TEST(LoadGen, OpenLoopCompletesBitExactAndBeatsSerialDispatch) {
   // At 2.5x the serial capacity, batching must outrun per-request dispatch.
   EXPECT_GT(report.value().speedup, 1.2);
   EXPECT_GT(report.value().mean_batch, 1.0);
+}
+
+TEST(LoadGen, ServiceModelPricesThePlansDatapath) {
+  // TC1's tanh PEs close at the fixed8 timing preset (transcendental
+  // factor 0.90) far above the float32 one (0.46), so a fixed8 plan priced
+  // with float32 presets would report the float32 clock.
+  hw::HwNetwork hw_net = hw::with_default_annotations(nn::make_tc1());
+  const hw::AcceleratorPlan float_plan =
+      hw::plan_accelerator(hw_net).value();
+  hw_net.hw.data_type = nn::DataType::kFixed8;
+  const hw::AcceleratorPlan fixed_plan = hw::plan_accelerator(hw_net).value();
+  auto float_model = make_service_model(float_plan);
+  auto fixed_model = make_service_model(fixed_plan);
+  ASSERT_TRUE(float_model.is_ok()) << float_model.status().to_string();
+  ASSERT_TRUE(fixed_model.is_ok()) << fixed_model.status().to_string();
+  EXPECT_GT(fixed_model.value().frequency_mhz,
+            float_model.value().frequency_mhz);
+
+  const hls::SynthesisOptions fixed8_presets{
+      hw::cost_model_for(nn::DataType::kFixed8),
+      hw::timing_model_for(nn::DataType::kFixed8)};
+  auto fixed_report = hls::synthesize(fixed_plan, fixed8_presets);
+  ASSERT_TRUE(fixed_report.is_ok()) << fixed_report.status().to_string();
+  EXPECT_EQ(fixed_model.value().frequency_mhz,
+            fixed_report.value().achieved_clock_mhz);
 }
 
 TEST(LoadGen, LatencySummaryUsesNearestRank) {

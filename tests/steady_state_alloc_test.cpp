@@ -28,8 +28,10 @@
 #include "test_util.hpp"
 
 // Global allocation hooks: forward to malloc/free and tell the probe. Kept
-// deliberately minimal — no logging, no reentrancy hazards.
-void* operator new(std::size_t size) {
+// deliberately minimal — no logging, no reentrancy hazards. Never inlined:
+// an inlined free() next to a new-expression reads to GCC as a mismatched
+// new/delete pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -38,12 +40,18 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace condor {
 namespace {
@@ -54,7 +62,7 @@ namespace {
 /// bytes, every warm run streams exactly zero. `fuse_chain` > 1 clusters
 /// blocks of that many consecutive feature-extraction layers onto fused
 /// PEs (the network must be a linear chain), exercising the PE-local
-/// fused-pass fast path — whose grow-only double buffers must hold the
+/// fused passes — whose grow-only double buffers must hold the
 /// same zero-allocation and zero-weight-traffic contract warm.
 void expect_steady_state_allocates_nothing(const nn::Network& network,
                                            nn::DataType data_type,
@@ -146,7 +154,7 @@ void expect_steady_state_allocates_nothing(const nn::Network& network,
       << "steady-state run re-streamed weights despite residency";
   if (fuse_chain > 1) {
     EXPECT_GT(executor.value().last_run_stats().fused_local_passes, 0U)
-        << "fused clustering did not exercise the PE-local fast path";
+        << "fused clustering did not run any PE-local fused pass";
   }
 }
 
