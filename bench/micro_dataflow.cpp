@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the engine substrate: FIFO
-// throughput, filter-chain streaming rate, functional accelerator execution
-// vs the golden CPU reference, and the discrete-event simulator's event rate.
+// throughput, functional accelerator execution vs the golden CPU reference,
+// and the discrete-event simulator's event rate.
 //
 // These quantify the *host-side* cost of the simulation infrastructure —
 // they are not device-performance claims (those come from the cycle

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "dataflow/filter.hpp"
 #include "dataflow/join.hpp"
 #include "dataflow/pe.hpp"
 #include "nn/kernels_simd.hpp"
@@ -233,78 +232,18 @@ Status AcceleratorExecutor::build_design() {
       continue;
     }
 
+    // Classifier and feature / element-wise PEs read their input blob
+    // straight from the edge; the feature PE indexes its windows in the
+    // retained blob (dataflow/pe.hpp).
     if (pe.kind == hw::PeKind::kClassifier) {
       graph.add_module<ClassifierPeModule>(
           pe.name, program, external_in, weight_stream, *pe_out, parallel_out,
-          std::max<std::size_t>(pe.parallel_in, 1), runtime_pool(), data_type,
-          fmt_in, fmt_out);
+          runtime_pool(), data_type, fmt_in, fmt_out);
       continue;
     }
-
-    // Feature / element-wise PE: source mux + one replicated filter chain
-    // per concurrently-read input map (parallel_in, paper §3.2) + PE.
-    const hw::MemoryPipelinePlan& memory = *pe.memory;
-    const std::size_t window_h = std::max<std::size_t>(memory.window_h, 1);
-    const std::size_t window_w = std::max<std::size_t>(memory.window_w, 1);
-    const std::size_t lanes = std::max<std::size_t>(pe.parallel_in, 1);
-
-    // One sizing rule for the memory subsystem, the inter-PE edges' "one
-    // image, capped" rule: every stream holds one image of its lane's
-    // traffic. Only pass 0 crosses the mux and the filters (later fused
-    // passes stay in the PE), so a chain head or inter-filter link carries
-    // ceil(C/lanes) padded pass-0 input maps and a filter->PE port
-    // ceil(C/lanes) matched out_h x out_w stripes. Under the
-    // cooperative scheduler every full or empty edge is a suspend/re-fire
-    // hand-off, so at this depth the mux and each filter move a whole pass
-    // per firing instead of a few rows. (In hardware these are direct
-    // wires; KPN results are capacity-independent, so the depth shows only
-    // in the software schedule.)
-    const LayerPass& head = program.passes.front();
-    const std::size_t maps = (head.in_channels + lanes - 1) / lanes;
-    const std::size_t chain_depth = std::clamp<std::size_t>(
-        maps * head.in_h * head.in_w, 1, kMaxPipelineEdgeDepth);
-    const std::size_t port_depth = std::clamp<std::size_t>(
-        maps * head.out_h * head.out_w, 1, kMaxPipelineEdgeDepth);
-    std::vector<Stream*> chain_heads;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      chain_heads.push_back(&graph.make_stream(
-          chain_depth,
-          strings::format("%s_chain_in_l%zu", pe.name.c_str(), lane)));
-    }
-    graph.add_module<SourceMuxModule>(pe.name + "_mux", program, external_in,
-                                      chain_heads);
-
-    // Filter chains in lexicographically inverse access order.
-    std::vector<Stream*> ports(lanes * window_h * window_w, nullptr);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      Stream* upstream = chain_heads[lane];
-      for (std::size_t f = 0; f < memory.filters.size(); ++f) {
-        const hw::FilterNode& node = memory.filters[f];
-        const bool last = f + 1 == memory.filters.size();
-        Stream* downstream = nullptr;
-        if (!last) {
-          downstream = &graph.make_stream(
-              chain_depth,
-              strings::format("%s_chain_l%zu_%zu", pe.name.c_str(), lane, f));
-        }
-        Stream& port = graph.make_stream(
-            port_depth,
-            strings::format("%s_port_l%zu_%zu_%zu", pe.name.c_str(), lane,
-                            node.access.ky, node.access.kx));
-        ports[lane * window_h * window_w + node.access.ky * window_w +
-              node.access.kx] = &port;
-        graph.add_module<FilterModule>(
-            strings::format("%s_filter_l%zu_%zu_%zu", pe.name.c_str(), lane,
-                            node.access.ky, node.access.kx),
-            node.access, program, lane, lanes, *upstream, downstream, port);
-        upstream = downstream;
-      }
-    }
-
     graph.add_module<FeaturePeModule>(
-        pe.name, program, window_h, window_w, lanes, std::move(ports),
-        weight_stream, *pe_out, parallel_out, runtime_pool(),
-        data_type, fmt_in, fmt_out);
+        pe.name, program, external_in, weight_stream, *pe_out, parallel_out,
+        runtime_pool(), data_type, fmt_in, fmt_out);
   }
 
   // Datamover halves. The input half fans out through a BroadcastModule

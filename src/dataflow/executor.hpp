@@ -1,8 +1,8 @@
 // AcceleratorExecutor: functional execution of an accelerator plan.
 //
 // The first run_batch compiles the plan once into a CompiledDesign — the PE
-// programs, the full spatial Kahn process network (datamover, per-PE source
-// mux + filter chain + FIFOs + PE, the inter-PE streams) — and later
+// programs, the spatial Kahn process network (datamover halves, weight
+// movers, one module per PE, the inter-PE streams) — and later
 // batches reuse it: streams are re-armed (Fifo::reopen) and the same graph
 // runs again on a persistent worker pool instead of re-wiring the design
 // and spawning one OS thread per module per batch. The design is
@@ -38,11 +38,10 @@
 
 namespace condor::dataflow {
 
-/// Ceiling (elements) on every stream the executor sizes to one image of
-/// its traffic: the inter-PE edges and the memory-subsystem streams (chain
-/// heads, inter-filter links, filter->PE ports). Larger images fall back to
-/// smaller depths; KPN results are capacity-independent, only the number of
-/// scheduler hand-offs and the image overlap change.
+/// Ceiling (elements) on every inter-PE edge the executor sizes to one
+/// image of its traffic. Larger images fall back to smaller depths; KPN
+/// results are capacity-independent, only the number of scheduler
+/// hand-offs and the image overlap change.
 inline constexpr std::size_t kMaxPipelineEdgeDepth = std::size_t{1} << 18;
 
 /// Statistics from one batch run (module/FIFO census for reports + tests).

@@ -1,4 +1,4 @@
-// Actor base class for dataflow modules (filters, PEs, datamover halves).
+// Actor base class for dataflow modules (PEs, joins, datamover halves).
 //
 // Each module's body is a resumable coroutine (`fire`, returning Fire) that
 // communicates exclusively through Fifo channels, mirroring the independent

@@ -137,6 +137,37 @@ OcSlice oc_slice(std::size_t total, std::size_t lanes, std::size_t lane) {
   return {begin, std::min(total, begin + chunk)};
 }
 
+/// Accumulates every input channel of a convolution pass into one lane's
+/// point-major tile `acc` (oc slice `slice`), indexing the padded `frame`
+/// in place with the golden reference's tap arithmetic: tap (ky, kx) of
+/// output row oy starts at (oy*stride + ky)*in_w + kx, and consecutive
+/// output columns are `stride` apart. Channels walk in ascending order, so
+/// each output element's chain is its seed, then ic-major (ky, kx) adds.
+/// `taps` is the lane's tap_count-entry pointer scratch.
+template <typename T, typename Acc>
+void accumulate_conv_slice(const LayerPass& pass, const T* frame,
+                           const T* packed, OcSlice slice, Acc* acc,
+                           const T** taps) {
+  const std::size_t tap_count = pass.window_h * pass.window_w;
+  const std::size_t channel_size = pass.in_h * pass.in_w;
+  for (std::size_t ic = 0; ic < pass.in_channels; ++ic) {
+    const T* channel = frame + ic * channel_size;
+    const T* packed_ic =
+        packed + ic * tap_count * pass.out_channels + slice.begin;
+    for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
+      for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
+        for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
+          taps[ky * pass.window_w + kx] =
+              channel + (oy * pass.stride + ky) * pass.in_w + kx;
+        }
+      }
+      nn::kernels::conv_accumulate_row(
+          acc + oy * pass.out_w * slice.width(), slice.width(), pass.out_w,
+          taps, tap_count, pass.stride, packed_ic, pass.out_channels);
+    }
+  }
+}
+
 }  // namespace
 
 Fire FeaturePeModule::fire(const RunContext& ctx) {
@@ -154,6 +185,13 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
       // ahead of the blob data.
       CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in_, frac, name()));
     }
+    // Pass 0's input blob, burst-read from the edge and retained like every
+    // later pass's input. resize() below the high-water capacity never
+    // reallocates (zero-allocation warm state).
+    fused_prev_.resize(program_.external_input_elements());
+    CONDOR_CO_READ_EXACT(
+        in_, std::span<float>(fused_prev_),
+        internal_error("PE '" + name() + "': input stream ended early"));
     for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
       const LayerPass& pass = program_.passes[pi];
       const bool last = pi + 1 == program_.passes.size();
@@ -235,69 +273,31 @@ void FeaturePeModule::derive_pass_cache(std::size_t pass_index,
   cache.ready = true;
 }
 
-Fire FeaturePeModule::read_port_stripe(const LayerPass& pass,
-                                       std::size_t lane,
-                                       std::span<float> stage) {
-  // One exact read per tap: each filter delivers its whole per-channel
-  // stripe (out_h rows of out_w matched elements, oy ascending — the exact
-  // per-port element order of the row-at-a-time schedule) in a single
-  // burst, staged tap-major. The filters forward the map down the chain
-  // before writing their port, so ascending tap order here cannot starve a
-  // later-chain filter (see filter.hpp).
-  const std::size_t lane_stride = window_h_max_ * window_w_max_;
-  const std::size_t stripe_points = pass.out_h * pass.out_w;
-  for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
-    for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
-      Stream* port = ports_[lane * lane_stride + ky * window_w_max_ + kx];
-      const std::size_t tap = ky * pass.window_w + kx;
-      std::span<float> dst(stage.data() + tap * stripe_points, stripe_points);
-      CONDOR_CO_READ_EXACT(
-          *port, dst,
-          internal_error("PE '" + name() + "': port stream ended early"));
-    }
+std::span<const float> FeaturePeModule::padded_frame(const LayerPass& pass) {
+  if (pass.pad == 0) {
+    return fused_prev_;
   }
-  co_return Status::ok();
-}
-
-void FeaturePeModule::gather_local_stripe(const LayerPass& pass,
-                                          std::size_t channel,
-                                          std::span<float> stage) const
-    noexcept {
-  // The retained blob holds the previous pass's output in (c, y, x) order.
-  // The memory subsystem would pad it (mux: zero border of `pad` per side)
-  // and match each access's domain (filter: y = oy*stride + ky,
-  // x = ox*stride + kx in the padded frame); gathering straight from the
-  // blob with the same index arithmetic yields the identical values in the
-  // identical tap-major layout a port read stages.
+  // Zero border of `pad` per side around each retained channel (code 0 on
+  // the fixed datapaths); assign() keeps the high-water capacity.
   const std::size_t inner_h = pass.in_h - 2 * pass.pad;
   const std::size_t inner_w = pass.in_w - 2 * pass.pad;
-  const float* map = fused_prev_.data() + channel * inner_h * inner_w;
-  const std::size_t stripe_points = pass.out_h * pass.out_w;
-  for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
-    for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
-      const std::size_t tap = ky * pass.window_w + kx;
-      float* dst = stage.data() + tap * stripe_points;
-      for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
-        const std::size_t y = oy * pass.stride + ky;
-        for (std::size_t ox = 0; ox < pass.out_w; ++ox) {
-          const std::size_t x = ox * pass.stride + kx;
-          const bool interior = y >= pass.pad && y < pass.pad + inner_h &&
-                                x >= pass.pad && x < pass.pad + inner_w;
-          dst[oy * pass.out_w + ox] =
-              interior ? map[(y - pass.pad) * inner_w + (x - pass.pad)]
-                       : 0.0F;
-        }
-      }
+  padded_.assign(pass.input_elements(), 0.0F);
+  for (std::size_t c = 0; c < pass.in_channels; ++c) {
+    const float* src = fused_prev_.data() + c * inner_h * inner_w;
+    float* dst = padded_.data() + c * pass.in_h * pass.in_w;
+    for (std::size_t iy = 0; iy < inner_h; ++iy) {
+      std::copy_n(src + iy * inner_w, inner_w,
+                  dst + (pass.pad + iy) * pass.in_w + pass.pad);
     }
   }
+  return padded_;
 }
 
 void FeaturePeModule::gather_local_map(const LayerPass& pass,
                                        std::size_t channel,
                                        std::span<float> map) const noexcept {
-  // Whole padded map of one channel (1x1-window passes read maps, not
-  // stripes): border zeros around the retained interior — exactly the mux's
-  // padding step.
+  // Whole padded map of one channel: border zeros around the retained
+  // interior.
   const std::size_t inner_h = pass.in_h - 2 * pass.pad;
   const std::size_t inner_w = pass.in_w - 2 * pass.pad;
   const float* src = fused_prev_.data() + channel * inner_h * inner_w;
@@ -312,38 +312,22 @@ void FeaturePeModule::gather_local_map(const LayerPass& pass,
   }
 }
 
-std::size_t FeaturePeModule::stage_group(const LayerPass& pass) const noexcept {
-  // The whole pass when every port holds its lane's whole pass (the
-  // filters then write each port in one burst, and one read round drains
-  // them all); otherwise one channel per input lane per round. Either way
-  // the staging never exceeds the ports' own ring memory.
-  const std::size_t channels = std::max<std::size_t>(pass.in_channels, 1);
-  const std::size_t lane_maps = (channels + lanes_ - 1) / lanes_;
-  if (lane_maps * pass.out_h * pass.out_w <= ports_.front()->capacity()) {
-    return channels;
-  }
-  return std::min(lanes_, channels);
-}
-
 Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
                                PassSink sink) {
-  const std::size_t lane_stride = window_h_max_ * window_w_max_;
-
   switch (pass.kind) {
     case PassKind::kConvolution: {
       const std::size_t oc_total = pass.out_channels;
       const std::size_t map_points = pass.out_h * pass.out_w;
-      const std::size_t tap_count = pass.window_h * pass.window_w;
 
       // Resident blocks, latched once per design (latch_resident_weights).
       const PassWeightCache& cache = weight_cache_[pass_index];
-      const std::vector<float>& packed = cache.packed;
-      const std::vector<float>& bias = cache.bias;
+      const float* frame = padded_frame(pass).data();
 
-      // parallel_out compute lanes, each owning a disjoint oc slice with a
-      // point-major accumulator tile seeded with the bias. Per output
-      // element the accumulation chain (bias, then ic-major (ky, kx) adds)
-      // is byte-identical to the single-lane schedule.
+      // parallel_out compute lanes, forked once per pass, each owning a
+      // disjoint oc slice with a point-major accumulator tile seeded with
+      // the bias. Per output element the accumulation chain (bias, then
+      // ic-major (ky, kx) adds) is byte-identical to the single-lane
+      // schedule.
       const std::size_t compute_lanes =
           std::clamp<std::size_t>(parallel_out_, 1, std::max<std::size_t>(oc_total, 1));
       if (lane_acc_.size() < compute_lanes) {
@@ -355,68 +339,24 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
       for (std::size_t lane = 0; lane < compute_lanes; ++lane) {
         const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
         lane_acc_[lane].resize(map_points * slice.width());
+        lane_taps_[lane].resize(pass.window_h * pass.window_w);
+      }
+      out_blob_.resize(oc_total * map_points);
+      run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
+        const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
         float* acc = lane_acc_[lane].data();
         for (std::size_t point = 0; point < map_points; ++point) {
           for (std::size_t j = 0; j < slice.width(); ++j) {
             acc[point * slice.width() + j] =
-                pass.has_bias ? bias[slice.begin + j] : 0.0F;
+                pass.has_bias ? cache.bias[slice.begin + j] : 0.0F;
           }
         }
-        lane_taps_[lane].resize(tap_count);
-      }
-
-      // Stage a group of consecutive input-channel stripes (stage_group:
-      // the whole pass, or one per provisioned input lane), in the
-      // identical FIFO read order of the channel-at-a-time schedule, then
-      // fork the compute lanes once over the group. Each lane walks the group's
-      // stripes in ascending-ic order, so every output element keeps its
-      // exact accumulation chain (bias, then ic-major adds) at any
-      // parallel_in degree.
-      const std::size_t group = stage_group(pass);
-      const std::size_t stripe_elems = pass.out_h * tap_count * pass.out_w;
-      stage_.resize(group * stripe_elems);
-      for (std::size_t ic0 = 0; ic0 < pass.in_channels; ic0 += group) {
-        const std::size_t members = std::min(group, pass.in_channels - ic0);
-        for (std::size_t s = 0; s < members; ++s) {
-          const std::span<float> slot =
-              std::span<float>(stage_).subspan(s * stripe_elems, stripe_elems);
-          if (local_input(pass_index)) {
-            gather_local_stripe(pass, ic0 + s, slot);
-          } else {
-            CONDOR_CO_RETURN_IF_ERROR(
-                co_await read_port_stripe(pass, (ic0 + s) % lanes_, slot));
-          }
+        if (slice.width() > 0) {
+          accumulate_conv_slice(pass, frame, cache.packed.data(), slice, acc,
+                                lane_taps_[lane].data());
         }
-        run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-          const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-          if (slice.width() == 0) {
-            return;
-          }
-          float* acc = lane_acc_[lane].data();
-          const float** taps = lane_taps_[lane].data();
-          for (std::size_t s = 0; s < members; ++s) {
-            const float* packed_ic =
-                packed.data() + (ic0 + s) * tap_count * oc_total;
-            const float* stripe = stage_.data() + s * stripe_elems;
-            for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
-              for (std::size_t tap = 0; tap < tap_count; ++tap) {
-                taps[tap] = stripe + (tap * pass.out_h + oy) * pass.out_w;
-              }
-              nn::kernels::conv_accumulate_row(
-                  acc + oy * pass.out_w * slice.width(), slice.width(),
-                  pass.out_w, taps, tap_count, 1, packed_ic + slice.begin,
-                  oc_total);
-            }
-          }
-        });
-      }
-
-      // Activation + transpose into the (oc, oy, ox) emission order; each
-      // lane writes its disjoint contiguous output block.
-      out_blob_.resize(oc_total * map_points);
-      run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-        const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-        const float* acc = lane_acc_[lane].data();
+        // Activation + transpose into the (oc, oy, ox) emission order; each
+        // lane writes its disjoint contiguous output block.
         for (std::size_t j = 0; j < slice.width(); ++j) {
           float* out_map = out_blob_.data() + (slice.begin + j) * map_points;
           for (std::size_t point = 0; point < map_points; ++point) {
@@ -430,36 +370,30 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
     }
 
     case PassKind::kPooling: {
-      // Whole-channel staging: every tap's stripe prefetches in one exact
-      // read (tap-major, see read_port_stripe), the channel's output map
-      // computes in memory, and leaves in one burst. The reduction still
-      // walks taps in ascending (ky, kx) order per output point, so the
-      // float reduction order is unchanged. Channel c's window arrives on
-      // chain lane c % lanes.
-      const std::size_t tap_count = pass.window_h * pass.window_w;
-      const std::size_t stripe_points = pass.out_h * pass.out_w;
-      const float window_size = static_cast<float>(tap_count);
-      stage_.resize(tap_count * stripe_points);
-      out_blob_.resize(stripe_points);
+      // Each channel's output map reduces straight from the frame, walking
+      // the window in ascending (ky, kx) order per output point (the float
+      // reduction order of the reference), and leaves in one burst.
+      const std::span<const float> frame = padded_frame(pass);
+      const float window_size =
+          static_cast<float>(pass.window_h * pass.window_w);
+      out_blob_.resize(pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_stripe(pass, c, std::span<float>(stage_));
-        } else {
-          CONDOR_CO_RETURN_IF_ERROR(co_await read_port_stripe(
-              pass, c % lanes_, std::span<float>(stage_)));
-        }
+        const float* channel = frame.data() + c * pass.in_h * pass.in_w;
         for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
           for (std::size_t ox = 0; ox < pass.out_w; ++ox) {
             float result = pass.pool_method == nn::PoolMethod::kMax
                                ? -std::numeric_limits<float>::infinity()
                                : 0.0F;
-            for (std::size_t tap = 0; tap < tap_count; ++tap) {
-              const float value =
-                  stage_[(tap * pass.out_h + oy) * pass.out_w + ox];
-              if (pass.pool_method == nn::PoolMethod::kMax) {
-                result = std::max(result, value);
-              } else {
-                result += value;
+            for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
+              const float* row =
+                  channel + (oy * pass.stride + ky) * pass.in_w +
+                  ox * pass.stride;
+              for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
+                if (pass.pool_method == nn::PoolMethod::kMax) {
+                  result = std::max(result, row[kx]);
+                } else {
+                  result += row[kx];
+                }
               }
             }
             if (pass.pool_method == nn::PoolMethod::kAverage) {
@@ -476,18 +410,11 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
     }
 
     case PassKind::kElementwise: {
-      // 1x1 window: only access (0, 0) of the channel's lane. The whole
-      // channel map transfers as one burst.
+      // 1x1 window: each channel map activates in place and leaves as one
+      // burst.
       map_.resize(pass.in_h * pass.in_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_map(pass, c, std::span<float>(map_));
-        } else {
-          Stream* port = ports_[(c % lanes_) * lane_stride];
-          CONDOR_CO_READ_EXACT(
-              *port, std::span<float>(map_),
-              internal_error("PE '" + name() + "': port stream ended early"));
-        }
+        gather_local_map(pass, c, std::span<float>(map_));
         for (float& value : map_) {
           value = nn::apply_activation(pass.activation, value);
         }
@@ -504,14 +431,7 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
       map_.resize(pass.in_h * pass.in_w);
       out_blob_.resize(pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_map(pass, c, std::span<float>(map_));
-        } else {
-          Stream* port = ports_[(c % lanes_) * lane_stride];
-          CONDOR_CO_READ_EXACT(
-              *port, std::span<float>(map_),
-              internal_error("PE '" + name() + "': port stream ended early"));
-        }
+        gather_local_map(pass, c, std::span<float>(map_));
         for (std::size_t y = 0; y < pass.in_h; ++y) {
           float* out_row = out_blob_.data() + y * scale * pass.out_w;
           for (std::size_t x = 0; x < pass.in_w; ++x) {
@@ -551,18 +471,21 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
   const int bits = nn::total_bits(data_type_);
   const std::size_t oc_total = pass.out_channels;
   const std::size_t map_points = pass.out_h * pass.out_w;
-  const std::size_t tap_count = pass.window_h * pass.window_w;
 
   // Resident quantized blocks, latched once per design from the one-time
   // weight load (latch_resident_weights / derive_pass_cache): codes
   // identical to the QuantizedEngine's parameter quantization.
   const PassWeightCache& cache = weight_cache_[pass_index];
   const int acc_frac = cache.weight_frac + in_frac;
-  const std::vector<std::int32_t>& packed = cache.packed_codes;
+
+  // The retained blob carries codes in float words; the frame casts back to
+  // integer codes once per pass (exact — see codes_from_floats), border
+  // zeros included.
+  codes_from_floats(padded_frame(pass), frame_codes_);
 
   // Same lane decomposition as the float path: disjoint oc slices with
-  // integer accumulator tiles. Integer accumulation is exact, so the lane
-  // count cannot perturb any sum.
+  // integer accumulator tiles, forked once per pass. Integer accumulation
+  // is exact, so the lane count cannot perturb any sum.
   const std::size_t compute_lanes = std::clamp<std::size_t>(
       parallel_out_, 1, std::max<std::size_t>(oc_total, 1));
   std::vector<std::vector<Acc>>& lane_acc = fixed_lane_acc<Acc>();
@@ -575,6 +498,11 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
   for (std::size_t lane = 0; lane < compute_lanes; ++lane) {
     const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
     lane_acc[lane].resize(map_points * slice.width());
+    lane_taps_fixed_[lane].resize(pass.window_h * pass.window_w);
+  }
+  out_blob_.resize(oc_total * map_points);
+  run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
+    const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
     Acc* acc = lane_acc[lane].data();
     // The accumulator scale follows the image's input format, so each
     // output channel's bias realigns once per pass and then seeds every
@@ -590,66 +518,12 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
         acc[point * slice.width() + j] = seed;
       }
     }
-    lane_taps_fixed_[lane].resize(tap_count);
-  }
-
-  // The port streams carry codes in float words; stage a group of
-  // consecutive input-channel stripes (stage_group; same FIFO read order as
-  // the channel-at-a-time schedule), cast the group back to integer codes
-  // (exact — see codes_from_floats), and fork the compute lanes once over
-  // the whole group. Integer accumulation is exact, so neither the group
-  // size nor the lane count can perturb any sum.
-  const std::size_t group = stage_group(pass);
-  const std::size_t stripe_elems = pass.out_h * tap_count * pass.out_w;
-  stage_.resize(group * stripe_elems);
-  for (std::size_t ic0 = 0; ic0 < pass.in_channels; ic0 += group) {
-    const std::size_t members = std::min(group, pass.in_channels - ic0);
-    for (std::size_t s = 0; s < members; ++s) {
-      const std::span<float> slot =
-          std::span<float>(stage_).subspan(s * stripe_elems, stripe_elems);
-      if (local_input(pass_index)) {
-        // The retained blob carries codes in float words; the gather's zero
-        // border is code 0, exactly the mux's border.
-        gather_local_stripe(pass, ic0 + s, slot);
-      } else {
-        CONDOR_CO_RETURN_IF_ERROR(
-            co_await read_port_stripe(pass, (ic0 + s) % lanes_, slot));
-      }
+    if (slice.width() > 0) {
+      accumulate_conv_slice(pass, frame_codes_.data(),
+                            cache.packed_codes.data(), slice, acc,
+                            lane_taps_fixed_[lane].data());
     }
-    codes_from_floats(
-        std::span<const float>(stage_.data(), members * stripe_elems),
-        int_stage_);
-    run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-      const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-      if (slice.width() == 0) {
-        return;
-      }
-      Acc* acc = lane_acc[lane].data();
-      const std::int32_t** taps = lane_taps_fixed_[lane].data();
-      for (std::size_t s = 0; s < members; ++s) {
-        const std::int32_t* packed_ic =
-            packed.data() + (ic0 + s) * tap_count * oc_total;
-        const std::int32_t* stripe = int_stage_.data() + s * stripe_elems;
-        for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
-          for (std::size_t tap = 0; tap < tap_count; ++tap) {
-            taps[tap] = stripe + (tap * pass.out_h + oy) * pass.out_w;
-          }
-          nn::kernels::conv_accumulate_row(
-              acc + oy * pass.out_w * slice.width(), slice.width(),
-              pass.out_w, taps, tap_count, 1, packed_ic + slice.begin,
-              oc_total);
-        }
-      }
-    });
-  }
-
-  // Dequantize + activate into the (oc, oy, ox) emission order, then
-  // requantize the full blob with a fresh dynamic format (the canonical
-  // layer-boundary step; lanes join first so the format sees every value).
-  out_blob_.resize(oc_total * map_points);
-  run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-    const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-    const Acc* acc = lane_acc[lane].data();
+    // Dequantize + activate into the (oc, oy, ox) emission order.
     for (std::size_t j = 0; j < slice.width(); ++j) {
       float* out_map = out_blob_.data() + (slice.begin + j) * map_points;
       for (std::size_t point = 0; point < map_points; ++point) {
@@ -661,6 +535,9 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
       }
     }
   });
+  // Requantize the full blob with a fresh dynamic format (the canonical
+  // layer-boundary step; the lanes have joined, so the format sees every
+  // value).
   co_return co_await emit_requantized(name(), sink, fmt_sink, out_blob_, bits,
                                       out_frac, emit_codes_, emit_blob_);
 }
@@ -670,7 +547,6 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
                                      Stream* fmt_sink, int in_frac,
                                      int& out_frac) {
   const int bits = nn::total_bits(data_type_);
-  const std::size_t lane_stride = window_h_max_ * window_w_max_;
 
   switch (pass.kind) {
     case PassKind::kConvolution:
@@ -688,31 +564,27 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
       // Max pooling reduces over codes directly (dequantization is
       // monotone); average pooling sums codes exactly and divides once in
       // float — both exactly as the QuantizedEngine's fixed_pooling. The
-      // blob requantizes as a whole, so the output buffers on chip. Port
-      // data prefetches one whole channel per round (tap-major stripes,
-      // see read_port_stripe); integer reduction is order-insensitive, and
-      // the tap walk stays ascending anyway.
-      const std::size_t tap_count = pass.window_h * pass.window_w;
-      const std::size_t stripe_points = pass.out_h * pass.out_w;
-      const float window_size = static_cast<float>(tap_count);
+      // window reduces straight from the frame in (ky, kx) order; the blob
+      // requantizes as a whole, so the output buffers on chip.
+      const std::span<const float> frame = padded_frame(pass);
+      const float window_size =
+          static_cast<float>(pass.window_h * pass.window_w);
       const bool is_max = pass.pool_method == nn::PoolMethod::kMax;
-      stage_.resize(tap_count * stripe_points);
-      out_blob_.resize(pass.in_channels * stripe_points);
+      out_blob_.resize(pass.in_channels * pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_stripe(pass, c, std::span<float>(stage_));
-        } else {
-          CONDOR_CO_RETURN_IF_ERROR(co_await read_port_stripe(
-              pass, c % lanes_, std::span<float>(stage_)));
-        }
+        const float* channel = frame.data() + c * pass.in_h * pass.in_w;
         for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
           for (std::size_t ox = 0; ox < pass.out_w; ++ox) {
             std::int64_t acc =
                 is_max ? std::numeric_limits<std::int64_t>::min() : 0;
-            for (std::size_t tap = 0; tap < tap_count; ++tap) {
-              const auto code = static_cast<std::int64_t>(
-                  stage_[(tap * pass.out_h + oy) * pass.out_w + ox]);
-              acc = is_max ? std::max(acc, code) : acc + code;
+            for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
+              const float* row =
+                  channel + (oy * pass.stride + ky) * pass.in_w +
+                  ox * pass.stride;
+              for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
+                const auto code = static_cast<std::int64_t>(row[kx]);
+                acc = is_max ? std::max(acc, code) : acc + code;
+              }
             }
             float value = nn::dequantize_code(acc, in_frac);
             if (!is_max) {
@@ -734,14 +606,7 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
       map_.resize(pass.in_h * pass.in_w);
       out_blob_.resize(pass.in_channels * pass.in_h * pass.in_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_map(pass, c, std::span<float>(map_));
-        } else {
-          Stream* port = ports_[(c % lanes_) * lane_stride];
-          CONDOR_CO_READ_EXACT(
-              *port, std::span<float>(map_),
-              internal_error("PE '" + name() + "': port stream ended early"));
-        }
+        gather_local_map(pass, c, std::span<float>(map_));
         for (std::size_t i = 0; i < map_.size(); ++i) {
           out_blob_[c * map_.size() + i] = nn::apply_activation(
               pass.activation,
@@ -761,14 +626,7 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
       map_.resize(pass.in_h * pass.in_w);
       out_blob_.resize(pass.out_channels * pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        if (local_input(pass_index)) {
-          gather_local_map(pass, c, std::span<float>(map_));
-        } else {
-          Stream* port = ports_[(c % lanes_) * lane_stride];
-          CONDOR_CO_READ_EXACT(
-              *port, std::span<float>(map_),
-              internal_error("PE '" + name() + "': port stream ended early"));
-        }
+        gather_local_map(pass, c, std::span<float>(map_));
         float* channel = out_blob_.data() + c * pass.out_h * pass.out_w;
         for (std::size_t y = 0; y < pass.in_h; ++y) {
           float* out_row = channel + y * scale * pass.out_w;
@@ -855,13 +713,8 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
           next_.resize(out_count);
           // parallel_out lanes over disjoint output-neuron slices; each
           // neuron's chain (bias, then ascending-h adds) is unchanged.
-          // parallel_in stripes the input walk into contiguous segments
-          // accumulated back-to-back — the kernel vectorizes over output
-          // neurons only, so any segment boundary is byte-identical.
           const std::size_t compute_lanes = std::clamp<std::size_t>(
               parallel_out_, 1, std::max<std::size_t>(out_count, 1));
-          const std::size_t in_stripes = std::clamp<std::size_t>(
-              parallel_in_, 1, std::max<std::size_t>(in_count, 1));
           run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
             const OcSlice slice = oc_slice(out_count, compute_lanes, lane);
             if (slice.width() == 0) {
@@ -871,17 +724,9 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
             for (std::size_t j = 0; j < slice.width(); ++j) {
               acc[j] = pass.has_bias ? pass_bias_[pi][slice.begin + j] : 0.0F;
             }
-            for (std::size_t s = 0; s < in_stripes; ++s) {
-              const OcSlice seg = oc_slice(in_count, in_stripes, s);
-              if (seg.width() == 0) {
-                continue;
-              }
-              nn::kernels::inner_product_accumulate(
-                  acc, slice.width(), current_.data() + seg.begin,
-                  seg.width(),
-                  packed.data() + seg.begin * out_count + slice.begin,
-                  out_count);
-            }
+            nn::kernels::inner_product_accumulate(
+                acc, slice.width(), current_.data(), in_count,
+                packed.data() + slice.begin, out_count);
             for (std::size_t j = 0; j < slice.width(); ++j) {
               acc[j] = nn::apply_activation(pass.activation, acc[j]);
             }
@@ -963,14 +808,11 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
           const int acc_frac = slot.weight_frac + frac;
           values_.resize(out_count);
           // Same disjoint output-neuron slices as the float path; the
-          // integer sums are exact so neither the lane count nor the
-          // parallel_in segmentation can change a code. Each lane
-          // dequantizes + activates its slice; the blob-wide
+          // integer sums are exact so the lane count cannot change a code.
+          // Each lane dequantizes + activates its slice; the blob-wide
           // requantization joins the lanes first.
           const std::size_t compute_lanes = std::clamp<std::size_t>(
               parallel_out_, 1, std::max<std::size_t>(out_count, 1));
-          const std::size_t in_stripes = std::clamp<std::size_t>(
-              parallel_in_, 1, std::max<std::size_t>(in_count, 1));
           run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
             const OcSlice slice = oc_slice(out_count, compute_lanes, lane);
             if (slice.width() == 0) {
@@ -986,16 +828,9 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
                                  slot.bias_frac, acc_frac))
                            : Acc{0};
             }
-            for (std::size_t s = 0; s < in_stripes; ++s) {
-              const OcSlice seg = oc_slice(in_count, in_stripes, s);
-              if (seg.width() == 0) {
-                continue;
-              }
-              nn::kernels::inner_product_accumulate(
-                  acc, slice.width(), codes_.data() + seg.begin, seg.width(),
-                  slot.packed.data() + seg.begin * out_count + slice.begin,
-                  out_count);
-            }
+            nn::kernels::inner_product_accumulate(
+                acc, slice.width(), codes_.data(), in_count,
+                slot.packed.data() + slice.begin, out_count);
             for (std::size_t j = 0; j < slice.width(); ++j) {
               values_[slice.begin + j] = nn::apply_activation(
                   pass.activation,

@@ -1,39 +1,35 @@
 // Processing element modules.
 //
-// FeaturePeModule executes convolution / pooling / element-wise passes fed
-// by its memory subsystem (the filter chain): per input channel it receives
-// the full sliding window of every output point, one element per active
-// access port, in output raster order. Convolution accumulates into on-chip
-// output-map accumulators (seeded with the bias) so the input streams
-// through exactly once; accumulation order matches the golden reference
-// bit-for-bit (input channel outer, window row, window column). Port data
-// is prefetched one input-channel stripe at a time, one exact whole-stripe
-// read per port (each port's stripe is out_h * out_w matched elements in
-// output raster order), so the PE pays one FIFO transaction per tap per
-// channel instead of one per output row; the arithmetic order over the
-// fetched values is unchanged.
+// FeaturePeModule executes convolution / pooling / element-wise passes. Per
+// image it burst-reads its input blob straight from its inter-PE edge and
+// retains it PE-locally; every pass reads the retained blob and leaves its
+// output either on the downstream edge (last pass) or in the PE-local
+// buffer the next fused pass reads, so fused intermediates never touch a
+// FIFO. Windowed passes index the zero-padded frame in place with the
+// golden reference's tap arithmetic: tap (ky, kx) of output row oy starts
+// at (oy*stride + ky)*in_w + kx and advances `stride` per output column.
+// The paper's memory subsystem (§3.2: one filter per window access, FIFOs
+// sized to the spatial distance between accesses) is the hardware that
+// delivers exactly these taps; hw::MemoryPipelinePlan, the resource model,
+// HLS codegen and sim::element_sim own it, and the functional executor
+// computes the values it delivers. Convolution accumulates into on-chip
+// output-map accumulators (seeded with the bias) walking the input
+// channels in ascending order; accumulation order matches the golden
+// reference bit-for-bit (input channel outer, window row, window column).
 //
 // Convolution passes run the packed OC-contiguous microkernel
 // (nn/kernels.hpp) over a per-pass weight repack, and honor the plan's
 // parallel_out degree — the paper's intra-layer spatial unfolding — by
 // partitioning the output-channel range across `parallel_out` compute
-// lanes fork-joined on the executor's worker pool. Every lane owns a
-// disjoint oc slice with its own accumulator tile, so each output
-// element's accumulation chain (bias seed, then ic-major adds) is
+// lanes fork-joined once per pass on the executor's worker pool. Every
+// lane owns a disjoint oc slice with its own accumulator tile, so each
+// output element's accumulation chain (bias seed, then ic-major adds) is
 // byte-identical at any lane count.
 //
-// The plan's parallel_in degree is likewise executed, not just modeled: a
-// convolution pass stages `parallel_in` consecutive input-channel stripes
-// per iteration — one from each replicated filter chain, exactly the
-// channels the provisioned input lanes carry — and the compute lanes then
-// accumulate the staged stripes in ascending-ic order. The per-element
-// accumulation chain is untouched (bias, then ic-major adds), so any
-// parallel_in degree is byte-identical; what changes is the schedule: one
-// fork-join and one staging round-trip per group of parallel_in channels
-// instead of per channel. Fully-connected passes stripe the flattened
-// input across parallel_in contiguous segments accumulated back-to-back —
-// the GEMV microkernel vectorizes over output neurons only, so splitting
-// the input walk at any boundary leaves every sum byte-identical too.
+// The plan's parallel_in degree (replicated filter chains) is a hardware
+// degree only: the plan, the performance and resource models and HLS
+// codegen own it. No per-element accumulation chain depends on it, so the
+// executor's results are the same at any degree.
 //
 // ClassifierPeModule implements fully-connected layers as single-input/
 // single-output 1x1-convolution PEs (paper §3.3 step 4): no memory
@@ -43,8 +39,8 @@
 //
 // Fixed-point datapath (plan data_type fixed16/fixed8, see nn/numeric.hpp):
 // blob streams carry integer codes stored in float words (|code| < 2^15 is
-// exact in a float mantissa; the mux's zero border is code 0, so the memory
-// subsystem is numeric-type agnostic). Each blob's dynamic Q-format travels
+// exact in a float mantissa; the padded frame's zero border is code 0, so
+// the window indexing is numeric-type agnostic). Each blob's dynamic Q-format travels
 // out of band on a per-edge format stream: one word per image, written by
 // the producer BEFORE the blob data (so readers never wait on a format word
 // behind unconsumed blob data). Fused passes keep the intermediate format
@@ -54,8 +50,8 @@
 // widened integer accumulator, and requantize the full output blob at every
 // pass boundary — bit-exact against nn::QuantizedEngine by construction.
 //
-// Zero-allocation steady state: every per-image buffer (accumulator tiles,
-// port-stripe staging, dequantize/requantize scratch) is a module member
+// Zero-allocation steady state: every per-image buffer (retained blobs,
+// padded frame, accumulator tiles, dequantize/requantize scratch) is a module member
 // that persists across images AND across run_batch calls (the executor's
 // compiled design owns the modules for its whole life). Buffers resize to
 // each pass's needs; once a warmup batch has grown them to their high-water
@@ -97,35 +93,26 @@ struct PassSink {
 
 class FeaturePeModule final : public Module {
  public:
-  /// `ports[lane * window_h_max * window_w_max + ky * window_w_max + kx]`
-  /// is the stream from chain `lane`'s filter for access (ky, kx) — one
-  /// replicated chain per concurrently-read input map (inter-layer
-  /// parallelism); channel c belongs to lane c % lanes. `weights`
-  /// (nullable when no pass carries parameters) delivers the one-time
-  /// weight load from the datamover (latched resident on first receipt);
-  /// `out` is the downstream PE stream. Only pass 0 reads the ports; every
-  /// later fused pass reads the previous pass's blob, kept PE-locally.
-  /// `parallel_out` compute lanes split each convolution pass's output
-  /// channels across `lane_pool` (nullable for sequential execution). For
-  /// a fixed `data_type`, `fmt_in` / `fmt_out` carry the per-image
-  /// input/output blob formats (one frac_bits word per image, ahead of the
-  /// blob data).
-  FeaturePeModule(std::string name, const PeProgram& program,
-                  std::size_t window_h_max, std::size_t window_w_max,
-                  std::size_t lanes, std::vector<Stream*> ports, Stream* weights,
-                  Stream& out, std::size_t parallel_out = 1,
+  /// `in` is the PE's inter-PE input edge: one pass-0 input blob per image
+  /// (unpadded, (c, y, x) order). `weights` (nullable when no pass carries
+  /// parameters) delivers the one-time weight load from the datamover
+  /// (latched resident on first receipt); `out` is the downstream PE
+  /// stream. `parallel_out` compute lanes split each convolution pass's
+  /// output channels across `lane_pool` (nullable for sequential
+  /// execution). For a fixed `data_type`, `fmt_in` / `fmt_out` carry the
+  /// per-image input/output blob formats (one frac_bits word per image,
+  /// ahead of the blob data).
+  FeaturePeModule(std::string name, const PeProgram& program, Stream& in,
+                  Stream* weights, Stream& out, std::size_t parallel_out = 1,
                   ThreadPool* lane_pool = nullptr,
                   nn::DataType data_type = nn::DataType::kFloat32,
                   Stream* fmt_in = nullptr, Stream* fmt_out = nullptr)
       : Module(std::move(name)),
         program_(program),
-        window_h_max_(window_h_max),
-        window_w_max_(window_w_max),
-        lanes_(lanes),
         parallel_out_(parallel_out == 0 ? 1 : parallel_out),
         lane_pool_(lane_pool),
         data_type_(data_type),
-        ports_(std::move(ports)),
+        in_(in),
         weights_(weights),
         out_(out),
         fmt_in_(fmt_in),
@@ -134,9 +121,9 @@ class FeaturePeModule final : public Module {
   Fire fire(const RunContext& ctx) override;
 
  private:
-  // The pass/stripe helpers are nested firings (Fire coroutines co_awaited
-  // by the body): a stream suspension inside a helper suspends the whole
-  // module firing at that innermost point.
+  // The pass helpers are nested firings (Fire coroutines co_awaited by the
+  // body): a stream suspension inside a helper suspends the whole module
+  // firing at that innermost point.
 
   /// One-time weight latch: drains the weight stream (first run of a
   /// compiled design only) and derives every pass's resident blocks into
@@ -161,38 +148,15 @@ class FeaturePeModule final : public Module {
                            PassSink sink, Stream* fmt_sink, int in_frac,
                            int& out_frac);
 
-  /// Burst-reads one full input-channel stripe — every active port of
-  /// `lane`, one exact whole-stripe read per port — into `stage`, laid out
-  /// tap-major (tap, oy, ox). Each port's element order is the same as the
-  /// row-at-a-time schedule; only the transfer granularity changes (one
-  /// FIFO transaction per tap instead of per output row). `stage` is the
-  /// caller's slot within the group staging buffer (parallel_in stripes
-  /// per group).
-  Fire read_port_stripe(const LayerPass& pass, std::size_t lane,
-                        std::span<float> stage);
+  /// The retained input blob in the pass's padded frame (in_channels x
+  /// in_h x in_w): fused_prev_ itself when the pass has no padding, else
+  /// padded_ holding it inside a zero border of `pad` per side.
+  [[nodiscard]] std::span<const float> padded_frame(const LayerPass& pass);
 
-  /// Fused passes after the first read the retained previous-pass blob
-  /// (fused_prev_) instead of the port FIFOs.
-  [[nodiscard]] static bool local_input(std::size_t pass_index) noexcept {
-    return pass_index > 0;
-  }
-
-  /// PE-local analog of read_port_stripe: stages channel `channel`'s full
-  /// tap-major stripe from the retained previous-pass blob, applying the
-  /// mux's zero border (padded coordinates, zeros outside the interior) and
-  /// each filter's matched domain (y = oy*stride + ky, x = ox*stride + kx),
-  /// so stage holds the values the memory subsystem would deliver, in the
-  /// same layout.
-  void gather_local_stripe(const LayerPass& pass, std::size_t channel,
-                           std::span<float> stage) const noexcept;
-
-  /// PE-local analog of a whole-map port read (1x1-window passes): the
-  /// padded in_h x in_w map of channel `channel` from the retained blob.
+  /// One channel's padded in_h x in_w map from the retained blob (the
+  /// 1x1-window passes: element-wise and upsample).
   void gather_local_map(const LayerPass& pass, std::size_t channel,
                         std::span<float> map) const noexcept;
-
-  /// Input channels a conv pass stages (and computes) per round.
-  [[nodiscard]] std::size_t stage_group(const LayerPass& pass) const noexcept;
 
   /// Pass-indexed cache of resident weight blocks, latched from the weight
   /// stream's one-time load (latch_resident_weights) and reused for every
@@ -227,13 +191,10 @@ class FeaturePeModule final : public Module {
   }
 
   const PeProgram& program_;
-  std::size_t window_h_max_;
-  std::size_t window_w_max_;
-  std::size_t lanes_;
   std::size_t parallel_out_;
   ThreadPool* lane_pool_;
   nn::DataType data_type_;
-  std::vector<Stream*> ports_;
+  Stream& in_;
   Stream* weights_;
   Stream& out_;
   Stream* fmt_in_;
@@ -246,8 +207,8 @@ class FeaturePeModule final : public Module {
   std::vector<PassWeightCache> weight_cache_;  ///< one slot per pass
   std::vector<float> weight_buffer_;           ///< raw stream drain
   std::vector<float> bias_buffer_;
-  std::vector<float> stage_;                   ///< port-stripe staging
-  std::vector<std::int32_t> int_stage_;        ///< fixed: stage as codes
+  std::vector<float> padded_;                  ///< padded frame (pad > 0)
+  std::vector<std::int32_t> frame_codes_;      ///< fixed: frame as codes
   std::vector<std::vector<float>> lane_acc_;   ///< float conv acc tiles
   std::vector<std::vector<std::int64_t>> lane_acc64_;  ///< fixed16 tiles
   std::vector<std::vector<std::int32_t>> lane_acc32_;  ///< fixed8 tiles
@@ -257,10 +218,11 @@ class FeaturePeModule final : public Module {
   std::vector<float> map_;
   std::vector<std::int32_t> emit_codes_;       ///< requantize scratch
   std::vector<float> emit_blob_;
-  /// Fused passes: the previous pass's output blob, retained PE-locally in
-  /// exactly the byte sequence a stream would carry ((c, y, x) order; fixed
-  /// datapaths: requantized codes in float words), and the buffer the
-  /// current pass appends into. Double-buffered and swapped per pass;
+  /// The current pass's input blob — the edge's blob for pass 0, the
+  /// previous pass's output for every later pass — retained PE-locally in
+  /// exactly the byte sequence a stream carries ((c, y, x) order; fixed
+  /// datapaths: codes in float words), and the buffer the current pass
+  /// appends into. Double-buffered and swapped per fused pass;
   /// clear() keeps the high-water capacity, so the warm steady state stays
   /// off the heap.
   std::vector<float> fused_prev_;
@@ -271,21 +233,17 @@ class ClassifierPeModule final : public Module {
  public:
   /// `weights` delivers the one-time runtime weight load (the classifier's
   /// parameters stay chip-resident across the batch AND across batches —
-  /// the stream is drained once per compiled design). `parallel_in`
-  /// stripes the flattened input across that many contiguous segments
-  /// accumulated back-to-back (byte-identical at any degree; see the file
-  /// header). `fmt_in` / `fmt_out` are the format side-channels of a fixed
-  /// `data_type` (see FeaturePeModule).
+  /// the stream is drained once per compiled design). `fmt_in` /
+  /// `fmt_out` are the format side-channels of a fixed `data_type` (see
+  /// FeaturePeModule).
   ClassifierPeModule(std::string name, const PeProgram& program, Stream& in,
                      Stream* weights, Stream& out, std::size_t parallel_out = 1,
-                     std::size_t parallel_in = 1,
                      ThreadPool* lane_pool = nullptr,
                      nn::DataType data_type = nn::DataType::kFloat32,
                      Stream* fmt_in = nullptr, Stream* fmt_out = nullptr)
       : Module(std::move(name)),
         program_(program),
         parallel_out_(parallel_out == 0 ? 1 : parallel_out),
-        parallel_in_(parallel_in == 0 ? 1 : parallel_in),
         lane_pool_(lane_pool),
         data_type_(data_type),
         in_(in),
@@ -324,7 +282,6 @@ class ClassifierPeModule final : public Module {
 
   const PeProgram& program_;
   std::size_t parallel_out_;
-  std::size_t parallel_in_;
   ThreadPool* lane_pool_;
   nn::DataType data_type_;
   Stream& in_;

@@ -9,7 +9,7 @@ std::size_t PeProgram::external_input_elements() const noexcept {
     return 0;
   }
   const LayerPass& first = passes.front();
-  // Unpadded: the mux inserts the border itself.
+  // Unpadded: the PE adds the border itself.
   return first.in_channels * (first.in_h - 2 * first.pad) *
          (first.in_w - 2 * first.pad);
 }
@@ -104,8 +104,7 @@ Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,
         break;
       case nn::LayerKind::kUpsample:
         // Nearest-neighbour replication: a 1x1 window walked at stride 1
-        // (so the filter chain passes every element through) with the
-        // replication factor carried separately in `scale`.
+        // with the replication factor carried separately in `scale`.
         pass.kind = PassKind::kUpsample;
         pass.in_channels = in[0];
         pass.in_h = in[1];

@@ -1,15 +1,15 @@
-// PeProgram: the per-image schedule of a PE and its memory subsystem.
+// PeProgram: the per-image schedule of a PE.
 //
 // A PE may implement several fused logical layers (paper §3.2: "an
 // additional outer loop that iterates through the implemented layers, and a
 // set of conditionals to infer which input ports must be read"). The
-// program lists one LayerPass per fused layer. Only pass 0 crosses the
-// source multiplexer and the filter modules; the PE runs every pass and
-// keeps each intermediate blob on chip, gathering the next pass's window
-// stripes from it (dataflow/pe.hpp). Every module derives its stream
-// traffic from the same program, so the stream contents stay deterministic
-// without control tokens — exactly like the synthesized hardware, where the
-// schedule is compiled into each module's loop nest.
+// program lists one LayerPass per fused layer. Pass 0's input blob arrives
+// on the PE's input edge; the PE runs every pass and keeps each
+// intermediate blob on chip, indexing the next pass's windows in it
+// (dataflow/pe.hpp). Every module derives its stream traffic from the same
+// program, so the stream contents stay deterministic without control
+// tokens — exactly like the synthesized hardware, where the schedule is
+// compiled into each module's loop nest.
 #pragma once
 
 #include <cstddef>
@@ -33,21 +33,22 @@ enum class PassKind {
 };
 
 /// One fused layer's geometry and parameters as seen by the dataflow
-/// modules. Spatial coordinates are in the *padded* frame: the source mux
-/// inserts the zero border, so filters and PEs never see padding logic.
+/// modules. Spatial coordinates are in the *padded* frame: the PE indexes
+/// its windows in the input blob surrounded by a zero border of `pad` per
+/// side, so the window arithmetic needs no padding logic.
 struct LayerPass {
   PassKind kind = PassKind::kConvolution;
   // Input geometry (padded).
   std::size_t in_channels = 0;
   std::size_t in_h = 0;  ///< includes 2*pad
   std::size_t in_w = 0;
-  std::size_t pad = 0;   ///< zero border the mux inserts per side
+  std::size_t pad = 0;   ///< zero border per side of the padded frame
   // Window.
   std::size_t window_h = 1;
   std::size_t window_w = 1;
   std::size_t stride = 1;
   /// Nearest-neighbour replication factor (kUpsample only). Kept apart from
-  /// `stride`, which the filter modules interpret as subsampling.
+  /// `stride`, which every windowed pass interprets as subsampling.
   std::size_t scale = 1;
   // Output geometry.
   std::size_t out_channels = 0;
@@ -78,8 +79,8 @@ struct PeProgram {
   /// weight bytes — see pe.hpp).
   [[nodiscard]] std::size_t weight_stream_elements() const noexcept;
 
-  /// Elements entering the PE's subsystem from the upstream stream
-  /// (pass 0 input, *before* mux padding).
+  /// Elements the PE reads from its input edge per image (pass 0 input,
+  /// unpadded).
   [[nodiscard]] std::size_t external_input_elements() const noexcept;
   /// Elements the PE emits downstream (last pass output).
   [[nodiscard]] std::size_t output_elements() const noexcept {

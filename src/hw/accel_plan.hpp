@@ -45,6 +45,26 @@ struct WindowAccess {
   std::size_t kx = 0;
 };
 
+/// The data domain of a filter (paper §3.2): whether padded-frame element
+/// (y, x) is the `access` entry of some output point of a window walked at
+/// `stride` over an out_h x out_w output. The inequalities, per axis:
+///
+///     y >= ky      (y - ky) mod stride == 0      (y - ky) / stride < out_h
+///
+/// and the same for x with kx and out_w.
+[[nodiscard]] inline bool in_domain(const WindowAccess& access,
+                                    std::size_t stride, std::size_t out_h,
+                                    std::size_t out_w, std::size_t y,
+                                    std::size_t x) noexcept {
+  if (y < access.ky || x < access.kx) {
+    return false;
+  }
+  const std::size_t ry = y - access.ky;
+  const std::size_t rx = x - access.kx;
+  return ry % stride == 0 && rx % stride == 0 && ry / stride < out_h &&
+         rx / stride < out_w;
+}
+
 /// One filter in a memory pipeline plus the FIFO connecting it to the next
 /// filter downstream (depth 0 for the last filter in the chain).
 struct FilterNode {

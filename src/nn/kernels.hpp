@@ -91,8 +91,8 @@ std::vector<T> unpack_inner_product_weights(std::span<const T> packed,
 /// for every output column ox in [0, out_w) and window tap t in
 /// [0, tap_count), with t enumerating (ky, kx) in lexicographic order.
 /// `taps[t]` points at the tap's window value for ox = 0; consecutive
-/// columns are `x_stride` elements apart (the convolution stride when
-/// reading a raw input row, 1 when reading pre-gathered PE port rows).
+/// columns are `x_stride` elements apart (the convolution stride: both
+/// engines read raw rows of the zero-padded input frame).
 /// `packed` points at the (possibly oc-sliced) packed weight block of the
 /// current input channel; rows of consecutive taps are `packed_stride`
 /// apart (the full out_channels when `oc_count` is a lane's slice).

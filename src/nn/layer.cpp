@@ -126,7 +126,12 @@ Result<std::size_t> window_output_extent(std::size_t input, std::size_t kernel,
   if (kernel == 0 || stride == 0) {
     return invalid_input("window kernel and stride must be positive");
   }
-  const std::size_t padded = input + 2 * pad;
+  std::size_t padded = 0;
+  if (__builtin_mul_overflow(pad, std::size_t{2}, &padded) ||
+      __builtin_add_overflow(input, padded, &padded)) {
+    return invalid_input(strings::format(
+        "window input extent %zu with pad %zu overflows size_t", input, pad));
+  }
   if (padded < kernel) {
     return invalid_input(strings::format(
         "window %zu does not fit input extent %zu (pad %zu)", kernel, input, pad));

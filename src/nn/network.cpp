@@ -6,6 +6,32 @@
 #include "common/strings.hpp"
 
 namespace condor::nn {
+namespace {
+
+/// `a * b`, or invalid_input naming `layer` when the product wraps size_t.
+Result<std::size_t> checked_mul(std::size_t a, std::size_t b,
+                                const LayerSpec& layer) {
+  std::size_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) {
+    return invalid_input(strings::format(
+        "layer '%s': extent %zu x %zu overflows size_t", layer.name.c_str(),
+        a, b));
+  }
+  return product;
+}
+
+/// The element count of `shape`, or invalid_input naming `layer` when the
+/// product of its extents wraps size_t.
+Result<std::size_t> checked_element_count(const Shape& shape,
+                                          const LayerSpec& layer) {
+  std::size_t count = 1;
+  for (const std::size_t dim : shape.dims()) {
+    CONDOR_ASSIGN_OR_RETURN(count, checked_mul(count, dim, layer));
+  }
+  return count;
+}
+
+}  // namespace
 
 const LayerSpec* Network::find_layer(std::string_view name) const noexcept {
   for (const LayerSpec& layer : layers_) {
@@ -312,6 +338,15 @@ Status Network::fill_shapes(Topology& topology) const {
             window_output_extent(entry.input[2], layer.kernel_w, layer.stride,
                                  layer.pad));
         entry.output = Shape{layer.num_output, out_h, out_w};
+        // The zero-padded input frame the windows index must be
+        // addressable too (its extents are checked by
+        // window_output_extent).
+        CONDOR_RETURN_IF_ERROR(
+            checked_element_count(Shape{entry.input[0],
+                                        entry.input[1] + 2 * layer.pad,
+                                        entry.input[2] + 2 * layer.pad},
+                                  layer)
+                .status());
         break;
       }
       case LayerKind::kPooling: {
@@ -362,7 +397,12 @@ Status Network::fill_shapes(Topology& topology) const {
                                "' input spatial extents disagree: " +
                                a.to_string() + " vs " + b.to_string());
         }
-        entry.output = Shape{a[0] + b[0], a[1], a[2]};
+        std::size_t channels = 0;
+        if (__builtin_add_overflow(a[0], b[0], &channels)) {
+          return invalid_input("concat '" + layer.name +
+                               "' channel sum overflows size_t");
+        }
+        entry.output = Shape{channels, a[1], a[2]};
         break;
       }
       case LayerKind::kUpsample: {
@@ -370,10 +410,19 @@ Status Network::fill_shapes(Topology& topology) const {
           return invalid_input("upsample '" + layer.name +
                                "' requires a CHW input");
         }
-        entry.output = Shape{entry.input[0], entry.input[1] * layer.stride,
-                             entry.input[2] * layer.stride};
+        CONDOR_ASSIGN_OR_RETURN(std::size_t out_h,
+                                checked_mul(entry.input[1], layer.stride, layer));
+        CONDOR_ASSIGN_OR_RETURN(std::size_t out_w,
+                                checked_mul(entry.input[2], layer.stride, layer));
+        entry.output = Shape{entry.input[0], out_h, out_w};
         break;
       }
+    }
+    // Every blob and weight tensor must be addressable: a wrapped count
+    // would under-allocate every buffer sized from it.
+    CONDOR_RETURN_IF_ERROR(checked_element_count(entry.output, layer).status());
+    if (layer.has_weights()) {
+      CONDOR_RETURN_IF_ERROR(parameter_shapes(layer, entry.input).status());
     }
   }
   return Status::ok();
@@ -493,12 +542,16 @@ Result<ParameterShapes> parameter_shapes(const LayerSpec& layer, const Shape& in
       }
       out.weights = Shape{layer.num_output, input[0], layer.kernel_h, layer.kernel_w};
       break;
-    case LayerKind::kInnerProduct:
-      out.weights = Shape{layer.num_output, input.element_count()};
+    case LayerKind::kInnerProduct: {
+      CONDOR_ASSIGN_OR_RETURN(std::size_t in_count,
+                              checked_element_count(input, layer));
+      out.weights = Shape{layer.num_output, in_count};
       break;
+    }
     default:
       return invalid_input("layer '" + layer.name + "' has no parameters");
   }
+  CONDOR_RETURN_IF_ERROR(checked_element_count(out.weights, layer).status());
   if (layer.has_bias) {
     out.bias = Shape{layer.num_output};
   }

@@ -42,7 +42,7 @@ Result<Tensor> forward_convolution(const LayerSpec& layer, const Tensor& input,
   // Zero-padded input frame: the microkernel then reads raw rows without
   // border logic. The explicit zero terms leave every accumulation chain's
   // value unchanged (x + 0*w == x), matching the skip-the-border schedule
-  // and the dataflow engine's mux-inserted border alike.
+  // and the dataflow PE's padded frame alike.
   const std::size_t frame_h = in_h + 2 * layer.pad;
   const std::size_t frame_w = in_w + 2 * layer.pad;
   const Tensor* frame = &input;

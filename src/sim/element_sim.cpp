@@ -75,16 +75,9 @@ Result<ElementSimResult> simulate_memory_pipeline(const ElementSimConfig& config
 
   const auto in_domain = [&config](const hw::WindowAccess& access,
                                    std::size_t position) {
-    const std::size_t y = position / config.map_w;
-    const std::size_t x = position % config.map_w;
-    if (y < access.ky || x < access.kx) {
-      return false;
-    }
-    const std::size_t ry = y - access.ky;
-    const std::size_t rx = x - access.kx;
-    return ry % config.stride == 0 && rx % config.stride == 0 &&
-           ry / config.stride < config.out_h() &&
-           rx / config.stride < config.out_w();
+    return hw::in_domain(access, config.stride, config.out_h(),
+                         config.out_w(), position / config.map_w,
+                         position % config.map_w);
   };
 
   ElementSimResult result;

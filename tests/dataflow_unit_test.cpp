@@ -1,6 +1,6 @@
 // Unit tests for the dataflow primitives: the SPSC blocking FIFO (scalar
-// and burst paths, close/reopen lifecycle, multi-threaded stress), the
-// stencil filter's domain inequalities, and the graph runner.
+// and burst paths, close/reopen lifecycle, multi-threaded stress) and the
+// graph runner.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -9,9 +9,7 @@
 
 #include "common/thread_pool.hpp"
 #include "dataflow/fifo.hpp"
-#include "dataflow/filter.hpp"
 #include "dataflow/graph.hpp"
-#include "nn/layer.hpp"
 
 namespace condor::dataflow {
 namespace {
@@ -226,83 +224,6 @@ TEST(Fifo, ReopenRearmsStreamAndResetsStats) {
     fifo.reopen();
     EXPECT_FALSE(fifo.closed());
     EXPECT_EQ(fifo.stats().total_writes, 0u);
-  }
-}
-
-// ---- Filter domain inequalities -------------------------------------------
-
-/// Brute-force oracle: (y, x) is in the domain of access (ky, kx) iff some
-/// output point (oy, ox) reads it at that window position.
-bool brute_force_in_domain(const hw::WindowAccess& access, const LayerPass& pass,
-                           std::size_t y, std::size_t x) {
-  for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
-    for (std::size_t ox = 0; ox < pass.out_w; ++ox) {
-      if (oy * pass.stride + access.ky == y && ox * pass.stride + access.kx == x) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-struct DomainParam {
-  std::size_t in = 8;
-  std::size_t window = 3;
-  std::size_t stride = 1;
-};
-
-class FilterDomain : public ::testing::TestWithParam<DomainParam> {};
-
-TEST_P(FilterDomain, MatchesBruteForceOracle) {
-  const DomainParam& param = GetParam();
-  LayerPass pass;
-  pass.in_h = pass.in_w = param.in;
-  pass.window_h = pass.window_w = param.window;
-  pass.stride = param.stride;
-  pass.out_h = (param.in - param.window) / param.stride + 1;
-  pass.out_w = pass.out_h;
-
-  for (std::size_t ky = 0; ky < param.window; ++ky) {
-    for (std::size_t kx = 0; kx < param.window; ++kx) {
-      const hw::WindowAccess access{ky, kx};
-      for (std::size_t y = 0; y < pass.in_h; ++y) {
-        for (std::size_t x = 0; x < pass.in_w; ++x) {
-          EXPECT_EQ(FilterModule::in_domain(access, pass, y, x),
-                    brute_force_in_domain(access, pass, y, x))
-              << "access (" << ky << "," << kx << ") element (" << y << "," << x
-              << ")";
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(DomainSweep, FilterDomain,
-                         ::testing::Values(DomainParam{8, 3, 1},
-                                           DomainParam{8, 2, 2},
-                                           DomainParam{9, 3, 2},
-                                           DomainParam{12, 5, 1},
-                                           DomainParam{10, 1, 1},
-                                           DomainParam{10, 4, 3}));
-
-TEST(FilterDomain, MatchCountEqualsOutputPoints) {
-  // Every access contributes exactly one element per output point.
-  LayerPass pass;
-  pass.in_h = pass.in_w = 11;
-  pass.window_h = pass.window_w = 4;
-  pass.stride = 2;
-  pass.out_h = (11 - 4) / 2 + 1;
-  pass.out_w = pass.out_h;
-  for (std::size_t ky = 0; ky < 4; ++ky) {
-    for (std::size_t kx = 0; kx < 4; ++kx) {
-      std::size_t matches = 0;
-      for (std::size_t y = 0; y < pass.in_h; ++y) {
-        for (std::size_t x = 0; x < pass.in_w; ++x) {
-          matches += FilterModule::in_domain({ky, kx}, pass, y, x) ? 1 : 0;
-        }
-      }
-      EXPECT_EQ(matches, pass.out_h * pass.out_w);
-    }
   }
 }
 

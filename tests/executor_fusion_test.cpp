@@ -217,8 +217,9 @@ TEST(ExecutorFusion, FusedPlanShrinksPeCount) {
 
 TEST(ExecutorFusion, SmallerPassZeroWindowBitExact) {
   // LeNet pool1 + conv2 on one PE: pass 0 is the 2x2 pooling window, but
-  // the chain is sized for conv2's 5x5, so 16 of the 25 filters only
-  // forward (the filter conditionals) and conv2 runs PE-locally.
+  // the planned chain is sized for conv2's 5x5, so in hardware 16 of the
+  // 25 filters only forward (the filter conditionals). The executor's PE
+  // indexes each pass's own window in place, and conv2 runs PE-locally.
   const nn::Network network = nn::make_lenet();
   auto weights = nn::initialize_weights(network, 239);
   ASSERT_TRUE(weights.is_ok()) << weights.status().to_string();

@@ -1,6 +1,7 @@
 // Tests for the hardware core logic: board database, the Condor JSON
-// network representation, and the accelerator planner (filter chains,
-// non-uniform FIFO sizing, PE fusion, unsynthesizable designs).
+// network representation, and the accelerator planner (filter chains and
+// their data domains, non-uniform FIFO sizing, PE fusion, unsynthesizable
+// designs).
 #include <gtest/gtest.h>
 
 #include "hw/accel_plan.hpp"
@@ -161,6 +162,76 @@ TEST(FilterChain, TotalBufferingIsLiveWindowSpan) {
     EXPECT_EQ(plan.buffered_elements(),
               static_cast<std::size_t>((kh - 1) * w + (kw - 1)))
         << kh << "x" << kw << " over width " << w;
+  }
+}
+
+// ---- Filter domain inequalities -------------------------------------------
+
+/// Brute-force oracle: (y, x) is in the domain of access (ky, kx) iff some
+/// output point (oy, ox) reads it at that window position.
+bool brute_force_in_domain(const WindowAccess& access, std::size_t stride,
+                           std::size_t out_h, std::size_t out_w, std::size_t y,
+                           std::size_t x) {
+  for (std::size_t oy = 0; oy < out_h; ++oy) {
+    for (std::size_t ox = 0; ox < out_w; ++ox) {
+      if (oy * stride + access.ky == y && ox * stride + access.kx == x) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+struct DomainParam {
+  std::size_t in = 8;
+  std::size_t window = 3;
+  std::size_t stride = 1;
+};
+
+class FilterDomain : public ::testing::TestWithParam<DomainParam> {};
+
+TEST_P(FilterDomain, MatchesBruteForceOracle) {
+  const DomainParam& param = GetParam();
+  const std::size_t out = (param.in - param.window) / param.stride + 1;
+  for (std::size_t ky = 0; ky < param.window; ++ky) {
+    for (std::size_t kx = 0; kx < param.window; ++kx) {
+      const WindowAccess access{ky, kx};
+      for (std::size_t y = 0; y < param.in; ++y) {
+        for (std::size_t x = 0; x < param.in; ++x) {
+          EXPECT_EQ(in_domain(access, param.stride, out, out, y, x),
+                    brute_force_in_domain(access, param.stride, out, out, y, x))
+              << "access (" << ky << "," << kx << ") element (" << y << "," << x
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DomainSweep, FilterDomain,
+                         ::testing::Values(DomainParam{8, 3, 1},
+                                           DomainParam{8, 2, 2},
+                                           DomainParam{9, 3, 2},
+                                           DomainParam{12, 5, 1},
+                                           DomainParam{10, 1, 1},
+                                           DomainParam{10, 4, 3}));
+
+TEST(FilterDomain, MatchCountEqualsOutputPoints) {
+  // Every access contributes exactly one element per output point.
+  const std::size_t in = 11;
+  const std::size_t window = 4;
+  const std::size_t stride = 2;
+  const std::size_t out = (in - window) / stride + 1;
+  for (std::size_t ky = 0; ky < window; ++ky) {
+    for (std::size_t kx = 0; kx < window; ++kx) {
+      std::size_t matches = 0;
+      for (std::size_t y = 0; y < in; ++y) {
+        for (std::size_t x = 0; x < in; ++x) {
+          matches += in_domain({ky, kx}, stride, out, out, y, x) ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(matches, out * out);
+    }
   }
 }
 

@@ -280,6 +280,23 @@ TEST(Network, AnalyzeAgreesWithItsViewsOnInvalidNetworks) {
     add_case("join shapes disagree", std::move(net), false,
              StatusCode::kInvalidInput);
   }
+  {
+    // 2^22 x 2^22 x 2^22 elements: the product wraps size_t to 0.
+    TinyNetConfig config;
+    config.in_channels = std::size_t{1} << 22;
+    config.in_size = std::size_t{1} << 22;
+    add_case("input count wraps", testing::make_tiny_net(config), false,
+             StatusCode::kInvalidInput);
+  }
+  {
+    // Upsampling by 2^62 wraps each spatial extent to 0.
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    LayerSpec up = layer("up", LayerKind::kUpsample, {"conv1"});
+    up.stride = std::size_t{1} << 62;
+    net.add(up);
+    add_case("upsample extent wraps", std::move(net), false,
+             StatusCode::kInvalidInput);
+  }
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     testing::expect_topology_agrees(c.net);
@@ -290,6 +307,58 @@ TEST(Network, AnalyzeAgreesWithItsViewsOnInvalidNetworks) {
   }
   for (const Network& valid : {make_lenet(), make_tc1(), make_tiny_resnet()}) {
     testing::expect_topology_agrees(valid);
+  }
+}
+
+TEST(Network, AnalyzeRejectsSizesThatWrapSizeT) {
+  using condor::testing::TinyNetConfig;
+  // Each case names the layer whose blob or weight count would wrap.
+  {
+    TinyNetConfig config;
+    config.in_channels = std::size_t{1} << 22;
+    config.in_size = std::size_t{1} << 22;
+    const auto analyzed = testing::make_tiny_net(config).analyze();
+    ASSERT_FALSE(analyzed.is_ok());
+    EXPECT_EQ(analyzed.status().code(), StatusCode::kInvalidInput);
+    EXPECT_NE(analyzed.status().message().find("'data'"), std::string::npos)
+        << analyzed.status().to_string();
+  }
+  {
+    Network net = testing::make_tiny_net(TinyNetConfig{});
+    LayerSpec up;
+    up.name = "up";
+    up.kind = LayerKind::kUpsample;
+    up.inputs = {"conv1"};
+    up.stride = std::size_t{1} << 62;
+    net.add(up);
+    const auto analyzed = net.analyze();
+    ASSERT_FALSE(analyzed.is_ok());
+    EXPECT_EQ(analyzed.status().code(), StatusCode::kInvalidInput);
+    EXPECT_NE(analyzed.status().message().find("'up'"), std::string::npos)
+        << analyzed.status().to_string();
+  }
+  {
+    // A 2^44-neuron inner product over a 2^20-element input: the output
+    // fits, the 2^64-entry weight matrix does not.
+    TinyNetConfig config;
+    config.in_size = std::size_t{1} << 10;
+    config.conv_outputs = 1;
+    config.kernel = 1;
+    Network net = testing::make_tiny_net(config);
+    LayerSpec fc;
+    fc.name = "fc";
+    fc.kind = LayerKind::kInnerProduct;
+    fc.inputs = {"conv1"};
+    fc.num_output = std::size_t{1} << 44;
+    net.add(fc);
+    const auto analyzed = net.analyze();
+    ASSERT_FALSE(analyzed.is_ok());
+    EXPECT_EQ(analyzed.status().code(), StatusCode::kInvalidInput);
+    EXPECT_NE(analyzed.status().message().find("'fc'"), std::string::npos)
+        << analyzed.status().to_string();
+  }
+  for (const Network& valid : {make_lenet(), make_tc1(), make_tiny_resnet()}) {
+    EXPECT_TRUE(valid.analyze().is_ok()) << valid.name();
   }
 }
 

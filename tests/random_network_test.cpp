@@ -108,7 +108,8 @@ hw::HwNetwork random_annotations(const nn::Network& net, Rng& rng) {
     const nn::LayerSpec& layer = net.layers()[i];
     if (layer.is_feature_extraction()) {
       // Occasionally read multiple input maps concurrently (replicated
-      // filter chains in the functional engine).
+      // filter chains in hardware; the executor's results must not
+      // depend on it).
       if (rng.bounded(3) == 0 && shapes[i].input[0] > 1) {
         hw_net.hw.layers[i].parallel_in = 1 + rng.bounded(shapes[i].input[0]);
       }

@@ -1,6 +1,6 @@
 // Zero-allocation steady state (ISSUE 5 tentpole part B).
 //
-// The PE and filter module bodies wrap their run() in an
+// The module bodies wrap each firing in an
 // common::AllocProbe::Scope; this binary overrides the global allocation
 // functions to notify the probe, so once a counter is armed every heap
 // allocation performed *inside those scopes* is counted. The contract under
