@@ -135,7 +135,7 @@ void BM_AcceleratorFunctional_LeNet(benchmark::State& state) {
   BM_AcceleratorFunctional(state, nn::make_lenet());
 }
 /// The DAG path: two residual blocks plus a concat head, so every image
-/// crosses broadcast fan-outs and two-operand join PEs.
+/// crosses fan-outs and two-operand join PEs.
 void BM_AcceleratorResidual(benchmark::State& state) {
   BM_AcceleratorFunctional(state, nn::make_tiny_resnet());
 }
@@ -481,8 +481,8 @@ BENCHMARK(BM_AcceleratorParallelOut)
 
 /// Steady-state LeNet serving per numeric datapath (Arg: 0 = float32,
 /// 1 = fixed16, 2 = fixed8). The fixed designs run the integer MAC
-/// microkernels plus per-blob dynamic requantization and the per-edge
-/// format side-channels — this measures that host-side overhead against
+/// microkernels plus per-blob dynamic requantization and the frame header
+/// words — this measures that host-side overhead against
 /// the float datapath on the identical topology.
 void BM_AcceleratorDataType(benchmark::State& state) {
   const nn::DataType type = state.range(0) == 0   ? nn::DataType::kFloat32

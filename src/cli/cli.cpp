@@ -1,5 +1,7 @@
 #include "cli/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <optional>
 
@@ -62,6 +64,58 @@ class Args {
   [[nodiscard]] std::string get_or(const std::string& key,
                                    std::string fallback) const {
     return get(key).value_or(std::move(fallback));
+  }
+
+  /// Flag `key` as a decimal integer of at least `min`, `fallback` when
+  /// absent. Anything else — a sign, a non-digit, trailing characters, a
+  /// value past 2^64 - 1 or below `min` — prints an error naming the flag
+  /// and returns nullopt (the caller exits 2).
+  [[nodiscard]] std::optional<std::uint64_t> count(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t min = 0) const {
+    const auto text = get(key);
+    if (!text.has_value()) {
+      return fallback;
+    }
+    std::uint64_t value = 0;
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+      err_ << "--" << key << " is out of range: '" << *text << "'\n";
+      return std::nullopt;
+    }
+    if (ec != std::errc() || ptr != end) {
+      err_ << "--" << key << " expects a non-negative integer, got '" << *text
+           << "'\n";
+      return std::nullopt;
+    }
+    if (value < min) {
+      err_ << "--" << key << " must be >= " << min << "\n";
+      return std::nullopt;
+    }
+    return value;
+  }
+
+  /// Flag `key` as a finite, non-negative decimal number, `fallback` when
+  /// absent. Anything else — a non-number, trailing characters, a negative,
+  /// infinite or out-of-range value — prints an error naming the flag and
+  /// returns nullopt (the caller exits 2).
+  [[nodiscard]] std::optional<double> number(const std::string& key,
+                                             double fallback) const {
+    const auto text = get(key);
+    if (!text.has_value()) {
+      return fallback;
+    }
+    double value = 0.0;
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+        value < 0.0) {
+      err_ << "--" << key << " expects a non-negative number, got '" << *text
+           << "'\n";
+      return std::nullopt;
+    }
+    return value;
   }
 
  private:
@@ -132,6 +186,11 @@ int cmd_summary(const Args& args, std::ostream& out, std::ostream& err) {
 
 int cmd_build(const Args& args, std::ostream& out, std::ostream& err) {
   condorflow::FrontendInput input;
+  const auto freq = args.number("freq", input.target_frequency_mhz);
+  if (!freq) {
+    return 2;
+  }
+  input.target_frequency_mhz = *freq;
   if (args.has("prototxt") || args.has("caffemodel")) {
     const auto prototxt = args.get("prototxt");
     const auto caffemodel = args.get("caffemodel");
@@ -174,9 +233,6 @@ int cmd_build(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   input.board_id = args.get_or("board", "aws-f1");
-  if (const auto freq = args.get("freq")) {
-    input.target_frequency_mhz = std::strtod(freq->c_str(), nullptr);
-  }
 
   condorflow::FlowOptions options;
   options.run_dse = args.has("dse");
@@ -238,14 +294,12 @@ int cmd_dse(const Args& args, std::ostream& out, std::ostream& err) {
                         : model.value();
   // Fusion-aware clustering search: --max-fused K enumerates fusing up to K
   // chained feature PEs onto one (1 = fixed clustering, the default).
-  const std::size_t max_fused = static_cast<std::size_t>(
-      std::strtoull(args.get_or("max-fused", "1").c_str(), nullptr, 10));
-  if (max_fused == 0) {
-    err << "--max-fused must be >= 1\n";
+  const auto max_fused = args.count("max-fused", 1, 1);
+  if (!max_fused) {
     return 2;
   }
   hw::DseOptions options;
-  options.max_fused = max_fused;
+  options.max_fused = *max_fused;
   auto result = hw::explore(
       hw::with_default_annotations(std::move(net),
                                    args.get_or("board", "aws-f1"), 250.0),
@@ -277,6 +331,13 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     err << "run requires --xclbin and --weights\n";
     return 2;
   }
+  // Replicated accelerator instances (one ExecutorPool under the kernel);
+  // the batch is sharded dynamically and device time is the slowest replica.
+  const auto instances = args.count("instances", 1, 1);
+  const auto batch = args.count("batch", 16);
+  if (!instances || !batch) {
+    return 2;
+  }
   auto xclbin = runtime::Xclbin::load(*xclbin_path);
   if (!xclbin.is_ok()) {
     err << xclbin.status().to_string() << "\n";
@@ -292,15 +353,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     err << weight_bytes.status().to_string() << "\n";
     return 1;
   }
-  // Replicated accelerator instances (one ExecutorPool under the kernel);
-  // the batch is sharded dynamically and device time is the slowest replica.
-  const std::size_t instances = static_cast<std::size_t>(
-      std::strtoull(args.get_or("instances", "1").c_str(), nullptr, 10));
-  if (instances == 0) {
-    err << "--instances must be >= 1\n";
-    return 2;
-  }
-  if (auto s = kernel.value().set_instances(instances); !s.is_ok()) {
+  if (auto s = kernel.value().set_instances(*instances); !s.is_ok()) {
     err << s.to_string() << "\n";
     return 1;
   }
@@ -308,14 +361,11 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     err << s.to_string() << "\n";
     return 1;
   }
-  const std::size_t batch =
-      static_cast<std::size_t>(std::strtoull(args.get_or("batch", "16").c_str(),
-                                             nullptr, 10));
   const Shape input_shape =
       kernel.value().plan().source.net.input_shape().value();
   Rng rng(123);
   std::vector<Tensor> inputs;
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < *batch; ++i) {
     Tensor image(input_shape);
     for (float& v : image.data()) {
       v = rng.uniform(0.0F, 1.0F);
@@ -329,10 +379,10 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const runtime::KernelStats& stats = kernel.value().last_stats();
   out << strings::format(
-      "%zu images in %.3f ms device time (%.1f img/s @ %.0f MHz)\n", batch,
-      stats.simulated_seconds * 1e3, stats.images_per_second(batch),
+      "%zu images in %.3f ms device time (%.1f img/s @ %.0f MHz)\n", *batch,
+      stats.simulated_seconds * 1e3, stats.images_per_second(*batch),
       stats.clock_mhz);
-  if (instances > 1) {
+  if (*instances > 1) {
     const dataflow::PoolRunStats* shards = kernel.value().last_shard_stats();
     std::string census;
     for (const std::size_t images : shards->images_per_instance) {
@@ -340,7 +390,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
                                : strings::format("+%zu", images);
     }
     out << strings::format("%zu instances (images per instance: %s)\n",
-                           instances, census.c_str());
+                           *instances, census.c_str());
   }
   return 0;
 }
@@ -351,13 +401,22 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "validate requires --model\n";
     return 2;
   }
+  // Uniform intra-layer unfolding degree, clamped per layer to its output
+  // map count (a 10-output classifier caps at 10 lanes regardless of the
+  // requested degree). Multi-instance validation proves the sharded pool
+  // stays bit-exact: the same oracle comparison runs with the batch split
+  // across N replicas.
+  const auto batch = args.count("batch", 4);
+  const auto parallel_out = args.count("parallel-out", 1, 1);
+  const auto instances = args.count("instances", 1, 1);
+  if (!batch || !parallel_out || !instances) {
+    return 2;
+  }
   auto model = nn::make_model(*model_name);
   if (!model.is_ok()) {
     err << model.status().to_string() << "\n";
     return 1;
   }
-  const std::size_t batch = static_cast<std::size_t>(
-      std::strtoull(args.get_or("batch", "4").c_str(), nullptr, 10));
   auto weights = nn::initialize_weights(model.value(), 1);
   if (!weights.is_ok()) {
     err << weights.status().to_string() << "\n";
@@ -373,18 +432,9 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   auto engine = nn::QuantizedEngine::create(model.value(), weights.value(),
                                             data_type.value());
-  // Uniform intra-layer unfolding degree, clamped per layer to its output
-  // map count (a 10-output classifier caps at 10 lanes regardless of the
-  // requested degree).
-  const std::size_t parallel_out = static_cast<std::size_t>(
-      std::strtoull(args.get_or("parallel-out", "1").c_str(), nullptr, 10));
-  if (parallel_out == 0) {
-    err << "--parallel-out must be >= 1\n";
-    return 2;
-  }
   hw::HwNetwork hw_net = hw::with_default_annotations(model.value());
   hw_net.hw.data_type = data_type.value();
-  if (parallel_out > 1) {
+  if (*parallel_out > 1) {
     auto shapes = model.value().infer_shapes();
     if (!shapes.is_ok()) {
       err << shapes.status().to_string() << "\n";
@@ -392,7 +442,7 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     }
     for (std::size_t i = 1; i < hw_net.hw.layers.size(); ++i) {
       hw_net.hw.layers[i].parallel_out =
-          std::min(parallel_out, shapes.value()[i].output[0]);
+          std::min<std::size_t>(*parallel_out, shapes.value()[i].output[0]);
     }
   }
   auto plan = hw::plan_accelerator(hw_net);
@@ -400,16 +450,8 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     err << plan.status().to_string() << "\n";
     return 1;
   }
-  // Multi-instance validation proves the sharded pool stays bit-exact: the
-  // same oracle comparison runs with the batch split across N replicas.
-  const std::size_t instances = static_cast<std::size_t>(
-      std::strtoull(args.get_or("instances", "1").c_str(), nullptr, 10));
-  if (instances == 0) {
-    err << "--instances must be >= 1\n";
-    return 2;
-  }
   auto pool = dataflow::ExecutorPool::create(plan.value(), weights.value(),
-                                             instances);
+                                             *instances);
   if (!pool.is_ok()) {
     err << pool.status().to_string() << "\n";
     return 1;
@@ -417,7 +459,7 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
   Rng rng(777);
   const Shape input_shape = model.value().input_shape().value();
   std::vector<Tensor> inputs;
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < *batch; ++i) {
     Tensor image(input_shape);
     for (float& v : image.data()) {
       v = rng.uniform(-1.0F, 1.0F);
@@ -430,7 +472,7 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     return 1;
   }
   float worst = 0.0F;
-  for (std::size_t i = 0; i < batch; ++i) {
+  for (std::size_t i = 0; i < *batch; ++i) {
     const Tensor expected = engine.value().forward(inputs[i]).value();
     worst = std::max(worst, max_abs_diff(outputs.value()[i], expected));
   }
@@ -438,16 +480,16 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
   // the same integer arithmetic in both engines.
   const bool fixed = nn::is_fixed_point(data_type.value());
   std::string degree =
-      fixed ? strings::format("parallel_out=%zu, %s", parallel_out,
+      fixed ? strings::format("parallel_out=%zu, %s", *parallel_out,
                               std::string(nn::to_string(data_type.value())).c_str())
-            : strings::format("parallel_out=%zu", parallel_out);
-  if (instances > 1) {
-    degree += strings::format(", instances=%zu", instances);
+            : strings::format("parallel_out=%zu", *parallel_out);
+  if (*instances > 1) {
+    degree += strings::format(", instances=%zu", *instances);
   }
   out << strings::format(
       "dataflow engine (%s) vs %s on %zu images: "
       "max |diff| = %g (%s)\n",
-      degree.c_str(), fixed ? "quantized reference" : "golden reference", batch,
+      degree.c_str(), fixed ? "quantized reference" : "golden reference", *batch,
       worst, worst == 0.0F ? "bit-exact PASS" : "FAIL");
   // Topology summary: how much of the network is DAG-shaped. Depth is the
   // longest producer->consumer path; a linear chain's depth equals its
@@ -529,6 +571,17 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
     err << "serve-bench requires --model\n";
     return 2;
   }
+  const auto instances = args.count("instances", 4, 1);
+  const auto requests = args.count("requests", 512);
+  const auto seed = args.count("seed", 2024);
+  const auto max_batch = args.count("max-batch", 32);
+  const auto preferred_batch = args.count("preferred-batch", 0);
+  const auto rate = args.number("rate", 0.0);
+  const auto max_delay_ms = args.number("max-delay-ms", 25.0);
+  if (!instances || !requests || !seed || !max_batch || !preferred_batch ||
+      !rate || !max_delay_ms) {
+    return 2;
+  }
   auto model = nn::make_model(*model_name);
   if (!model.is_ok()) {
     err << model.status().to_string() << "\n";
@@ -551,14 +604,8 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
     err << plan.status().to_string() << "\n";
     return 1;
   }
-  const std::size_t instances = static_cast<std::size_t>(
-      std::strtoull(args.get_or("instances", "4").c_str(), nullptr, 10));
-  if (instances == 0) {
-    err << "--instances must be >= 1\n";
-    return 2;
-  }
   auto pool = dataflow::ExecutorPool::create(plan.value(), weights.value(),
-                                             instances);
+                                             *instances);
   if (!pool.is_ok()) {
     err << pool.status().to_string() << "\n";
     return 1;
@@ -569,16 +616,12 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
     return 1;
   }
   serve::LoadGenOptions options;
-  options.rate_rps = std::strtod(args.get_or("rate", "0").c_str(), nullptr);
-  options.requests = static_cast<std::size_t>(
-      std::strtoull(args.get_or("requests", "512").c_str(), nullptr, 10));
-  options.seed = std::strtoull(args.get_or("seed", "2024").c_str(), nullptr, 10);
-  options.batcher.max_batch = static_cast<std::size_t>(
-      std::strtoull(args.get_or("max-batch", "32").c_str(), nullptr, 10));
-  options.batcher.preferred_batch = static_cast<std::size_t>(std::strtoull(
-      args.get_or("preferred-batch", "0").c_str(), nullptr, 10));
-  options.batcher.max_delay_seconds =
-      std::strtod(args.get_or("max-delay-ms", "25").c_str(), nullptr) * 1e-3;
+  options.rate_rps = *rate;
+  options.requests = *requests;
+  options.seed = *seed;
+  options.batcher.max_batch = *max_batch;
+  options.batcher.preferred_batch = *preferred_batch;
+  options.batcher.max_delay_seconds = *max_delay_ms * 1e-3;
   auto report = serve::run_open_loop(pool.value(), accel.value(), options);
   if (!report.is_ok()) {
     err << report.status().to_string() << "\n";
@@ -589,7 +632,7 @@ int cmd_serve_bench(const Args& args, std::ostream& out, std::ostream& err) {
       "%s (%s) on %zu instances, offered %.1f req/s, %zu requests "
       "(%zu completed, %zu rejected)\n",
       model.value().name().c_str(),
-      std::string(nn::to_string(data_type.value())).c_str(), instances,
+      std::string(nn::to_string(data_type.value())).c_str(), *instances,
       r.offered_rps, r.requests, r.completed, r.rejected);
   out << strings::format(
       "  serial  per-request: %8.1f img/s   p50 %7.2f ms   p99 %7.2f ms\n",

@@ -1,30 +1,32 @@
 // Datamover halves: the custom module that "exchanges data with the
 // accelerator using streaming connections" (paper §3.2). In the functional
 // simulation the input half streams the batch's images from (simulated)
-// on-board memory into the first PE, and the output half collects result
-// blobs. The weight half streams each PE's slices exactly once per compiled
-// design — the PE latches them (weight residency, dataflow/pe.hpp) and every
-// later image and every later run_batch over the same design reuses the
-// resident copy, so the warm path is weight-traffic-free. PE programs hold
-// references into the WeightStore, which stands in for the weight regions
-// of on-board memory; a changed plan or weight store always recompiles the
-// design, which rebuilds the movers and re-arms the one-time load.
+// on-board memory into every PE that reads the network input (one frame
+// per image on each of those edges, in plan edge order), and the output
+// half collects result blobs. The weight half streams each PE's slices
+// exactly once per compiled design — the PE latches them (weight
+// residency, dataflow/pe.hpp) and every later image and every later
+// run_batch over the same design reuses the resident copy, so the warm
+// path is weight-traffic-free. PE programs hold references into the
+// WeightStore, which stands in for the weight regions of on-board memory;
+// a changed plan or weight store always recompiles the design, which
+// rebuilds the movers and re-arms the one-time load.
 //
 // All three movers transfer whole blobs per FIFO call (burst writes /
 // reads): the datamover models a DMA engine, and blob-granular bursts are
 // what keep the host-side simulation off the suspend/wake slow path.
 //
 // The input and output halves also frame images for the run telemetry
-// (RunTelemetry): the source counts an image as injected once its blob is
-// fully in the first channel, the sink counts it retired once the blob is
+// (RunTelemetry): the source counts an image as injected once its frame is
+// on every out-edge, the sink counts it retired once the blob is
 // collected — their difference proves how many images the pipeline held
 // concurrently.
 //
-// For a fixed-point plan (see nn/numeric.hpp and dataflow/pe.hpp) the input
-// half quantizes each image with a per-image dynamic format — publishing
-// the format word on the side-channel BEFORE the blob of codes — and the
-// output half reads the final blob's format word, then dequantizes the
-// collected codes back to floats.
+// Both halves speak the edge wire format of dataflow/frame.hpp. For a
+// fixed-point plan (see nn/numeric.hpp) the input half quantizes each image
+// with a per-image dynamic format and frames it, and the output half reads
+// the final frame's header word, then dequantizes the collected codes back
+// to floats.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +34,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "dataflow/fifo.hpp"
+#include "dataflow/frame.hpp"
 #include "dataflow/module.hpp"
 #include "dataflow/program.hpp"
 #include "nn/numeric.hpp"
@@ -39,66 +42,46 @@
 
 namespace condor::dataflow {
 
-/// Streams each input tensor's elements in CHW raster order. Fixed
-/// datapaths quantize per image and announce the format on `fmt_out` ahead
-/// of the codes.
+/// Streams each input tensor's elements in CHW raster order to every edge
+/// that reads the network input (`out`, in plan edge order). Fixed datapaths
+/// quantize and frame each image.
 class InputMoverModule final : public Module {
  public:
-  InputMoverModule(std::string name, Stream& out,
-                   nn::DataType data_type = nn::DataType::kFloat32,
-                   Stream* fmt_out = nullptr)
-      : Module(std::move(name)),
-        data_type_(data_type),
-        out_(out),
-        fmt_out_(fmt_out) {}
+  InputMoverModule(std::string name, OutEdges out,
+                   nn::DataType data_type = nn::DataType::kFloat32)
+      : Module(std::move(name)), data_type_(data_type), out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override {
     if (ctx.inputs.size() != ctx.batch) {
       co_return internal_error("input mover: run context carries no inputs");
     }
-    if (!nn::is_fixed_point(data_type_)) {
-      for (const Tensor& image : ctx.inputs) {
-        CONDOR_CO_WRITE_BURST(
-            out_, image.data(),
-            internal_error("input mover: output stream closed early"));
-        if (ctx.telemetry != nullptr) {
-          ctx.telemetry->on_image_injected();
-        }
-      }
-      out_.close();
-      co_return Status::ok();
-    }
+    const bool fixed = nn::is_fixed_point(data_type_);
     const int bits = nn::total_bits(data_type_);
     for (const Tensor& image : ctx.inputs) {
-      const nn::FixedPointFormat format =
-          nn::quantize_span(image.data(), bits, codes_);
-      blob_.assign(codes_.begin(), codes_.end());
-      if (fmt_out_ == nullptr) {
-        co_return internal_error("input mover: format stream closed early");
+      if (fixed) {
+        int frac = 0;
+        CONDOR_CO_RETURN_IF_ERROR(co_await emit_requantized(
+            PassSink{&out_}, image.data(), bits, frac, codes_, frame_,
+            name()));
+      } else {
+        CONDOR_CO_RETURN_IF_ERROR(
+            co_await write_blob(PassSink{&out_}, image.data(), name()));
       }
-      CONDOR_CO_WRITE_ONE(
-          *fmt_out_, static_cast<float>(format.frac_bits),
-          internal_error("input mover: format stream closed early"));
-      CONDOR_CO_WRITE_BURST(
-          out_, blob_,
-          internal_error("input mover: output stream closed early"));
       if (ctx.telemetry != nullptr) {
         ctx.telemetry->on_image_injected();
       }
     }
-    out_.close();
-    fmt_out_->close();
+    close_edges(out_);
     co_return Status::ok();
   }
 
  private:
   nn::DataType data_type_;
-  Stream& out_;
-  Stream* fmt_out_;
+  OutEdges out_;
   // Quantization scratch persists across runs so steady-state firings
   // allocate nothing.
   std::vector<std::int32_t> codes_;
-  std::vector<float> blob_;
+  std::vector<float> frame_;
 };
 
 /// Streams a PE's weights from (simulated) on-board memory, in canonical
@@ -141,18 +124,16 @@ class WeightMoverModule final : public Module {
 };
 
 /// Collects `batch` output blobs of `output_shape` from the final stream.
-/// Fixed datapaths read the blob's format word from `fmt_in` first and
-/// dequantize the collected codes in place.
+/// Fixed datapaths dequantize the collected codes in place with the
+/// format of their frame.
 class OutputMoverModule final : public Module {
  public:
   OutputMoverModule(std::string name, Shape output_shape, Stream& in,
-                    nn::DataType data_type = nn::DataType::kFloat32,
-                    Stream* fmt_in = nullptr)
+                    nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         output_shape_(std::move(output_shape)),
         data_type_(data_type),
-        in_(in),
-        fmt_in_(fmt_in) {}
+        in_(in) {}
 
   Fire fire(const RunContext& ctx) override {
     const bool fixed = nn::is_fixed_point(data_type_);
@@ -165,17 +146,6 @@ class OutputMoverModule final : public Module {
       outputs_.reserve(ctx.batch);
     }
     for (std::size_t image = 0; image < ctx.batch; ++image) {
-      int frac = 0;
-      if (fixed) {
-        if (fmt_in_ == nullptr) {
-          co_return internal_error("output mover: format stream ended early");
-        }
-        float word = 0.0F;
-        CONDOR_CO_READ_ONE(
-            *fmt_in_, word,
-            internal_error("output mover: format stream ended early"));
-        frac = static_cast<int>(word);
-      }
       // Output tensor construction is intentionally outside the
       // zero-allocation contract (it escapes to the caller); pause the
       // probe for exactly that allocation.
@@ -184,8 +154,9 @@ class OutputMoverModule final : public Module {
         return Tensor(output_shape_);
       }();
       const std::span<float> data = blob.data();
-      CONDOR_CO_READ_EXACT(
-          in_, data, internal_error("output mover: stream ended early"));
+      int frac = 0;
+      CONDOR_CO_RETURN_IF_ERROR(
+          co_await read_frame(in_, data_type_, frac, data, name()));
       if (fixed) {
         for (float& value : data) {
           value = nn::dequantize_code(static_cast<std::int64_t>(value), frac);
@@ -211,7 +182,6 @@ class OutputMoverModule final : public Module {
   Shape output_shape_;
   nn::DataType data_type_;
   Stream& in_;
-  Stream* fmt_in_;
   std::vector<Tensor> outputs_;
 };
 

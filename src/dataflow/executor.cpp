@@ -11,9 +11,6 @@
 namespace condor::dataflow {
 namespace {
 
-/// Minimum capacity of small glue FIFOs.
-constexpr std::size_t kGlueFifoDepth = 8;
-
 /// Capacity of the datamover weight streams. Weight slices transfer as
 /// bursts, so the depth only bounds the chunk size of each handoff.
 constexpr std::size_t kWeightFifoDepth = 1024;
@@ -74,9 +71,11 @@ Status AcceleratorExecutor::build_design() {
       plan_->topology->input_shape().element_count();
 
   // One stream per plan edge — the plan's edge list IS the DAG, so the
-  // wiring below needs no linearity assumption. Each edge is sized to
-  // buffer one full image blob (when that fits under kMaxPipelineEdgeDepth)
-  // so consecutive images genuinely overlap: the producer parks image k's
+  // wiring below needs no linearity assumption — plus one weight stream per
+  // weighted PE, and nothing else. Each edge is sized to park one whole
+  // frame (the blob plus the fixed datapaths' header word, see
+  // dataflow/frame.hpp) when that fits under kMaxPipelineEdgeDepth, so
+  // consecutive images genuinely overlap: the producer parks image k's
   // whole output in the channel and moves on to image k+1 without waiting
   // for the consumer to catch up. For residual topologies the same sizing
   // also keeps the skip edge from artificially deadlocking the diamond: a
@@ -99,32 +98,22 @@ Status AcceleratorExecutor::build_design() {
         &graph.make_stream(depth, strings::format("stream_edge_%zu", e)));
   }
 
-  // Fixed datapaths add a per-edge format side-channel: one frac_bits word
-  // per image, always written ahead of the blob data (dataflow/pe.hpp). The
-  // float32 design is structurally untouched.
+  // Resolve each producer's out-edges (in plan edge order — a fan-out is
+  // only wiring, the producer writes each whole frame to one out-edge
+  // before the next, see dataflow/frame.hpp) and each consumer's in-ports
+  // from the edge list.
   const nn::DataType data_type = plan_->data_type();
-  std::vector<Stream*> fmt_streams(plan_->edges.size(), nullptr);
-  if (nn::is_fixed_point(data_type)) {
-    for (std::size_t e = 0; e < plan_->edges.size(); ++e) {
-      fmt_streams[e] = &graph.make_stream(
-          kGlueFifoDepth, strings::format("fmt_edge_%zu", e));
-    }
-  }
-
-  // Resolve each producer's out-edges and each consumer's in-ports from the
-  // edge list. A producer with several out-edges gets a BroadcastModule
-  // behind a private stream; its consumers then see ordinary edges.
   const std::size_t kNoEdge = static_cast<std::size_t>(-1);
-  std::vector<std::vector<std::size_t>> out_edges_of(plan_->pes.size());
-  std::vector<std::size_t> datamover_out_edges;
+  std::vector<OutEdges> out_edges_of(plan_->pes.size());
+  OutEdges datamover_out_edges;
   std::vector<std::vector<std::size_t>> in_edge_of(plan_->pes.size());
   std::size_t sink_edge = kNoEdge;
   for (std::size_t e = 0; e < plan_->edges.size(); ++e) {
     const hw::StreamEdge& edge = plan_->edges[e];
     if (edge.from_pe == hw::StreamEdge::kDatamover) {
-      datamover_out_edges.push_back(e);
+      datamover_out_edges.push_back(edge_streams[e]);
     } else {
-      out_edges_of[edge.from_pe].push_back(e);
+      out_edges_of[edge.from_pe].push_back(edge_streams[e]);
     }
     if (edge.to_pe == hw::StreamEdge::kDatamover) {
       if (sink_edge != kNoEdge) {
@@ -145,43 +134,9 @@ Status AcceleratorExecutor::build_design() {
   if (sink_edge == kNoEdge) {
     return internal_error("plan has no output edge");
   }
-
-  // Returns the stream a producer writes: the single out-edge directly, or
-  // a private stream drained by a BroadcastModule feeding every out-edge.
-  const auto make_producer_outs =
-      [&](const std::string& name, const std::vector<std::size_t>& edges,
-          std::size_t blob_elements, Stream*& out,
-          Stream*& fmt_out) -> Status {
-    if (edges.empty()) {
-      return internal_error("producer '" + name + "' has no out-edge");
-    }
-    if (edges.size() == 1) {
-      out = edge_streams[edges.front()];
-      fmt_out = fmt_streams[edges.front()];
-      return Status::ok();
-    }
-    std::size_t depth = kMinEdgeDepth;
-    if (blob_elements + 1 <= kMaxPipelineEdgeDepth) {
-      depth = std::max(depth, blob_elements + 1);
-    }
-    out = &graph.make_stream(depth, name + "_fanout");
-    fmt_out = nullptr;
-    std::vector<Stream*> outs;
-    std::vector<Stream*> fmt_outs;
-    for (const std::size_t e : edges) {
-      outs.push_back(edge_streams[e]);
-      if (fmt_streams[e] != nullptr) {
-        fmt_outs.push_back(fmt_streams[e]);
-      }
-    }
-    if (nn::is_fixed_point(data_type)) {
-      fmt_out = &graph.make_stream(kGlueFifoDepth, name + "_fanout_fmt");
-    }
-    graph.add_module<BroadcastModule>(name + "_broadcast", blob_elements, *out,
-                                      std::move(outs), data_type, fmt_out,
-                                      std::move(fmt_outs));
-    return Status::ok();
-  };
+  if (datamover_out_edges.empty()) {
+    return internal_error("plan has no input edge");
+  }
 
   for (std::size_t p = 0; p < plan_->pes.size(); ++p) {
     const hw::PePlan& pe = plan_->pes[p];
@@ -196,13 +151,10 @@ Status AcceleratorExecutor::build_design() {
           "PE '%s' expects %zu input port(s) but the plan wires %zu",
           pe.name.c_str(), expected_ports, in_ports.size()));
     }
+    if (out_edges_of[p].empty()) {
+      return internal_error("PE '" + pe.name + "' has no out-edge");
+    }
     Stream& external_in = *edge_streams[in_ports.front()];
-    Stream* fmt_in = fmt_streams[in_ports.front()];
-    Stream* pe_out = nullptr;
-    Stream* fmt_out = nullptr;
-    CONDOR_RETURN_IF_ERROR(make_producer_outs(pe.name, out_edges_of[p],
-                                              program.output_elements(),
-                                              pe_out, fmt_out));
 
     // Weight delivery from the datamover: every PE gets a one-time
     // configuration load on the first run after compilation; it latches the
@@ -226,9 +178,9 @@ Status AcceleratorExecutor::build_design() {
     if (pe.kind == hw::PeKind::kJoin) {
       // Two-input merge point: no memory subsystem, no weights — the module
       // reads both operand edges directly (ports 0/1 in `inputs` order).
-      graph.add_module<JoinModule>(
-          pe.name, program, external_in, *edge_streams[in_ports[1]], *pe_out,
-          data_type, fmt_in, fmt_streams[in_ports[1]], fmt_out);
+      graph.add_module<JoinModule>(pe.name, program, external_in,
+                                   *edge_streams[in_ports[1]],
+                                   std::move(out_edges_of[p]), data_type);
       continue;
     }
 
@@ -237,24 +189,17 @@ Status AcceleratorExecutor::build_design() {
     // retained blob (dataflow/pe.hpp).
     if (pe.kind == hw::PeKind::kClassifier) {
       graph.add_module<ClassifierPeModule>(
-          pe.name, program, external_in, weight_stream, *pe_out, parallel_out,
-          runtime_pool(), data_type, fmt_in, fmt_out);
+          pe.name, program, external_in, weight_stream,
+          std::move(out_edges_of[p]), parallel_out, runtime_pool(), data_type);
       continue;
     }
     graph.add_module<FeaturePeModule>(
-        pe.name, program, external_in, weight_stream, *pe_out, parallel_out,
-        runtime_pool(), data_type, fmt_in, fmt_out);
+        pe.name, program, external_in, weight_stream,
+        std::move(out_edges_of[p]), parallel_out, runtime_pool(), data_type);
   }
 
-  // Datamover halves. The input half fans out through a BroadcastModule
-  // when several PEs read the network input directly.
-  Stream* source_out = nullptr;
-  Stream* source_fmt = nullptr;
-  CONDOR_RETURN_IF_ERROR(make_producer_outs("datamover_in",
-                                            datamover_out_edges,
-                                            input_elements, source_out,
-                                            source_fmt));
-  // The output blob shape the sink collects: the sink edge's producer.
+  // Datamover halves. The output blob shape the sink collects: the sink
+  // edge's producer.
   const std::size_t out_pe = plan_->edges[sink_edge].from_pe;
   const std::size_t out_elements = programs[out_pe].output_elements();
   design->output_shape = Shape{out_elements};
@@ -263,11 +208,11 @@ Status AcceleratorExecutor::build_design() {
   if (shapes[last_layer].output.element_count() == out_elements) {
     design->output_shape = shapes[last_layer].output;
   }
-  graph.add_module<InputMoverModule>("datamover_in", *source_out, data_type,
-                                     source_fmt);
+  graph.add_module<InputMoverModule>(
+      "datamover_in", std::move(datamover_out_edges), data_type);
   design->sink = &graph.add_module<OutputMoverModule>(
       "datamover_out", design->output_shape, *edge_streams[sink_edge],
-      data_type, fmt_streams[sink_edge]);
+      data_type);
 
   design_ = std::move(design);
   return Status::ok();

@@ -1,48 +1,10 @@
 #include "dataflow/join.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "nn/layer.hpp"
 
 namespace condor::dataflow {
-namespace {
-
-/// Reads one format word (a blob's frac_bits) from a format side-channel.
-Fire read_fmt_word(Stream* stream, int& frac, const std::string& name) {
-  if (stream == nullptr) {
-    co_return internal_error("join '" + name + "': format stream ended early");
-  }
-  float word = 0.0F;
-  CONDOR_CO_READ_ONE(
-      *stream, word,
-      internal_error("join '" + name + "': format stream ended early"));
-  frac = static_cast<int>(word);
-  co_return Status::ok();
-}
-
-/// The canonical fixed layer-boundary emission (see pe.cpp): one fresh
-/// dynamic format over the activated value blob, the format word ahead of
-/// the codes stored in float words.
-Fire emit_requantized(const std::string& name, Stream& sink, Stream* fmt_sink,
-                      std::span<const float> values, int total_bits,
-                      std::vector<std::int32_t>& codes,
-                      std::vector<float>& blob) {
-  const nn::FixedPointFormat format =
-      nn::quantize_span(values, total_bits, codes);
-  if (fmt_sink == nullptr) {
-    co_return internal_error("join '" + name + "': format sink closed");
-  }
-  CONDOR_CO_WRITE_ONE(
-      *fmt_sink, static_cast<float>(format.frac_bits),
-      internal_error("join '" + name + "': format sink closed mid-pass"));
-  blob.assign(codes.begin(), codes.end());
-  CONDOR_CO_WRITE_BURST(
-      sink, blob, internal_error("join '" + name + "': sink closed mid-pass"));
-  co_return Status::ok();
-}
-
-}  // namespace
 
 Fire JoinModule::fire(const RunContext& ctx) {
   if (program_.passes.size() != 1) {
@@ -66,20 +28,12 @@ Fire JoinModule::fire(const RunContext& ctx) {
   for (std::size_t image = 0; image < ctx.batch; ++image) {
     int fa = 0;
     int fb = 0;
-    if (fixed) {
-      // Both operand formats arrive ahead of their blobs, so reading them
-      // back-to-back cannot deadlock against either producer.
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in0_, fa, name()));
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in1_, fb, name()));
-    }
     a_.resize(first_count);
     b_.resize(second_count);
-    CONDOR_CO_READ_EXACT(
-        in0_, std::span<float>(a_),
-        internal_error("join '" + name() + "': operand 0 ended early"));
-    CONDOR_CO_READ_EXACT(
-        in1_, std::span<float>(b_),
-        internal_error("join '" + name() + "': operand 1 ended early"));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await read_frame(in0_, data_type_, fa, a_, name()));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await read_frame(in1_, data_type_, fb, b_, name()));
     out_blob_.resize(out_count);
 
     if (!fixed) {
@@ -96,9 +50,8 @@ Fire JoinModule::fire(const RunContext& ctx) {
           value = nn::apply_activation(pass.activation, value);
         }
       }
-      CONDOR_CO_WRITE_BURST(
-          out_, out_blob_,
-          internal_error("join '" + name() + "': sink closed mid-pass"));
+      CONDOR_CO_RETURN_IF_ERROR(
+          co_await write_blob(PassSink{&out_}, out_blob_, name()));
       continue;
     }
 
@@ -127,45 +80,12 @@ Fire JoinModule::fire(const RunContext& ctx) {
             nn::dequantize_code(static_cast<std::int64_t>(b_[i]), fb));
       }
     }
+    int out_frac = 0;
     CONDOR_CO_RETURN_IF_ERROR(co_await emit_requantized(
-        name(), out_, fmt_out_, out_blob_, bits, emit_codes_, emit_blob_));
+        PassSink{&out_}, out_blob_, bits, out_frac, emit_codes_, emit_blob_,
+        name()));
   }
-  out_.close();
-  if (fmt_out_ != nullptr) {
-    fmt_out_->close();
-  }
-  co_return Status::ok();
-}
-
-Fire BroadcastModule::fire(const RunContext& ctx) {
-  const bool fixed = nn::is_fixed_point(data_type_);
-  for (std::size_t image = 0; image < ctx.batch; ++image) {
-    if (fixed) {
-      int frac = 0;
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in_, frac, name()));
-      for (Stream* fmt_out : fmt_outs_) {
-        CONDOR_CO_WRITE_ONE(
-            *fmt_out, static_cast<float>(frac),
-            internal_error("broadcast '" + name() +
-                           "': format sink closed mid-image"));
-      }
-    }
-    blob_.resize(blob_elements_);
-    CONDOR_CO_READ_EXACT(
-        in_, std::span<float>(blob_),
-        internal_error("broadcast '" + name() + "': upstream ended early"));
-    for (Stream* out : outs_) {
-      CONDOR_CO_WRITE_BURST(
-          *out, blob_,
-          internal_error("broadcast '" + name() + "': sink closed mid-image"));
-    }
-  }
-  for (Stream* out : outs_) {
-    out->close();
-  }
-  for (Stream* fmt_out : fmt_outs_) {
-    fmt_out->close();
-  }
+  close_edges(out_);
   co_return Status::ok();
 }
 

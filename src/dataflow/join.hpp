@@ -1,34 +1,27 @@
-// DAG glue modules: the two-input join PE and the stream fan-out.
+// The two-input join PE of a DAG.
 //
 // JoinModule executes a kJoin PE (hw/accel_plan.hpp): exactly one
-// eltwise-add or concat pass over two operand streams, framed per image.
-// The operands arrive on ports 0 and 1 in the layer's `inputs` order. The
-// float path mirrors nn::reference (add then activation; concat copies
-// first/second then activates the joined blob). The fixed path mirrors
-// nn::fixed_eltwise_add / nn::fixed_concat exactly: eltwise realigns both
-// operand codes to the finer of the two dynamic formats (an exact int64
-// shift), adds, and runs the canonical dequantize→activate→requantize
-// boundary step; concat rebuilds the joined blob in value space — each
-// operand dequantized with its own format — and requantizes the whole blob
-// with one fresh format. Either way the output format word leaves on the
-// format side-channel BEFORE the blob of codes, like every other producer.
+// eltwise-add or concat pass over two operand edges, one frame per image
+// on each (dataflow/frame.hpp). The operands arrive on ports 0 and 1 in the
+// layer's `inputs` order. The float path mirrors nn::reference (add then
+// activation; concat copies first/second then activates the joined blob).
+// The fixed path mirrors nn::fixed_eltwise_add / nn::fixed_concat exactly:
+// eltwise realigns both operand codes to the finer of the two dynamic
+// formats (an exact int64 shift), adds, and runs the canonical
+// dequantize→activate→requantize boundary step; concat rebuilds the joined
+// blob in value space — each operand dequantized with its own format — and
+// requantizes the whole blob with one fresh format.
 //
-// BroadcastModule fans one producer stream out to every consumer edge of a
-// DAG node with multiple readers (the skip connection of a residual block):
-// per image it stages the blob once and bursts a private copy to each
-// consumer (the format word, when fixed, is replicated first). In hardware
-// this is a stream duplicator — pure wiring; here it also decouples the
-// consumers' back-pressure from each other up to the edge FIFO capacities.
-//
-// Both modules follow the zero-allocation steady-state contract of
-// dataflow/pe.hpp: all per-image scratch lives in members that persist
-// across images and run_batch calls.
+// It follows the zero-allocation steady-state contract of dataflow/pe.hpp:
+// all per-image scratch lives in members that persist across images and
+// run_batch calls.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "dataflow/fifo.hpp"
+#include "dataflow/frame.hpp"
 #include "dataflow/module.hpp"
 #include "dataflow/program.hpp"
 #include "nn/numeric.hpp"
@@ -38,23 +31,17 @@ namespace condor::dataflow {
 class JoinModule final : public Module {
  public:
   /// `program` must hold exactly one kEltwiseAdd / kConcat pass. `in0` /
-  /// `in1` carry the operands in the layer's `inputs` order; `fmt_in0` /
-  /// `fmt_in1` / `fmt_out` are the per-edge format side-channels of a fixed
-  /// `data_type` (null on the float32 datapath).
+  /// `in1` carry the operands in the layer's `inputs` order; `out` lists the
+  /// PE's out-edges.
   JoinModule(std::string name, const PeProgram& program, Stream& in0,
-             Stream& in1, Stream& out,
-             nn::DataType data_type = nn::DataType::kFloat32,
-             Stream* fmt_in0 = nullptr, Stream* fmt_in1 = nullptr,
-             Stream* fmt_out = nullptr)
+             Stream& in1, OutEdges out,
+             nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
         data_type_(data_type),
         in0_(in0),
         in1_(in1),
-        out_(out),
-        fmt_in0_(fmt_in0),
-        fmt_in1_(fmt_in1),
-        fmt_out_(fmt_out) {}
+        out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
 
@@ -63,48 +50,14 @@ class JoinModule final : public Module {
   nn::DataType data_type_;
   Stream& in0_;
   Stream& in1_;
-  Stream& out_;
-  Stream* fmt_in0_;
-  Stream* fmt_in1_;
-  Stream* fmt_out_;
+  OutEdges out_;
 
   // --- steady-state scratch arena (see dataflow/pe.hpp) -------------------
   std::vector<float> a_;                  ///< first operand blob
   std::vector<float> b_;                  ///< second operand blob
   std::vector<float> out_blob_;           ///< joined values
   std::vector<std::int32_t> emit_codes_;  ///< fixed: requantize scratch
-  std::vector<float> emit_blob_;
-};
-
-class BroadcastModule final : public Module {
- public:
-  /// Replicates `blob_elements` words per image from `in` to every stream
-  /// in `outs` (and the format word from `fmt_in` to every `fmt_outs`
-  /// stream when the datapath is fixed).
-  BroadcastModule(std::string name, std::size_t blob_elements, Stream& in,
-                  std::vector<Stream*> outs,
-                  nn::DataType data_type = nn::DataType::kFloat32,
-                  Stream* fmt_in = nullptr,
-                  std::vector<Stream*> fmt_outs = {})
-      : Module(std::move(name)),
-        blob_elements_(blob_elements),
-        data_type_(data_type),
-        in_(in),
-        outs_(std::move(outs)),
-        fmt_in_(fmt_in),
-        fmt_outs_(std::move(fmt_outs)) {}
-
-  Fire fire(const RunContext& ctx) override;
-
- private:
-  std::size_t blob_elements_;
-  nn::DataType data_type_;
-  Stream& in_;
-  std::vector<Stream*> outs_;
-  Stream* fmt_in_;
-  std::vector<Stream*> fmt_outs_;
-
-  std::vector<float> blob_;  ///< per-image staging (steady-state member)
+  std::vector<float> emit_blob_;          ///< fixed: staged frame
 };
 
 }  // namespace condor::dataflow

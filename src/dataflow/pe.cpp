@@ -27,69 +27,6 @@ Fire read_weights(Stream* stream, std::size_t count, std::vector<float>& buffer,
   co_return Status::ok();
 }
 
-/// Reads one format word (a blob's frac_bits) from a format side-channel.
-Fire read_fmt_word(Stream* stream, int& frac, const std::string& pe_name) {
-  if (stream == nullptr) {
-    co_return internal_error("PE '" + pe_name + "': format stream ended early");
-  }
-  float word = 0.0F;
-  CONDOR_CO_READ_ONE(
-      *stream, word,
-      internal_error("PE '" + pe_name + "': format stream ended early"));
-  frac = static_cast<int>(word);
-  co_return Status::ok();
-}
-
-/// The canonical fixed layer-boundary step (mirrors the QuantizedEngine's
-/// requantize_layer_output): chooses a fresh dynamic format for the full
-/// activated float blob, quantizes to codes, and emits — format word first
-/// (when this edge has a format side-channel; fused intermediates keep the
-/// format in a PE-local variable instead), then the codes stored in float
-/// words. A local sink (a fused intermediate pass) takes the identical
-/// codes-as-floats sequence without any FIFO transaction. `codes` / `blob`
-/// are caller-owned scratch (module members) so the steady state stays off
-/// the heap.
-Fire emit_requantized(const std::string& pe_name, PassSink sink,
-                      Stream* fmt_sink, std::span<const float> values,
-                      int total_bits, int& out_frac,
-                      std::vector<std::int32_t>& codes,
-                      std::vector<float>& blob) {
-  const nn::FixedPointFormat format =
-      nn::quantize_span(values, total_bits, codes);
-  out_frac = format.frac_bits;
-  if (sink.local != nullptr) {
-    sink.local->insert(sink.local->end(), codes.begin(), codes.end());
-    co_return Status::ok();
-  }
-  if (fmt_sink != nullptr) {
-    CONDOR_CO_WRITE_ONE(
-        *fmt_sink, static_cast<float>(format.frac_bits),
-        internal_error("PE '" + pe_name + "': format sink closed mid-pass"));
-  }
-  blob.assign(codes.begin(), codes.end());
-  CONDOR_CO_WRITE_BURST(
-      *sink.stream, blob,
-      internal_error("PE '" + pe_name + "': sink closed mid-pass"));
-  co_return Status::ok();
-}
-
-/// Routes one float pass-output blob to its sink: appended to the PE-local
-/// fused buffer (no FIFO transaction) or burst-written to the stream.
-/// Append semantics match the per-channel burst sites (pooling,
-/// element-wise), so the local buffer accumulates the exact stream byte
-/// sequence.
-Fire write_blob(const std::string& pe_name, PassSink sink,
-                const std::vector<float>& blob) {
-  if (sink.local != nullptr) {
-    sink.local->insert(sink.local->end(), blob.begin(), blob.end());
-    co_return Status::ok();
-  }
-  CONDOR_CO_WRITE_BURST(
-      *sink.stream, blob,
-      internal_error("PE '" + pe_name + "': sink closed mid-pass"));
-  co_return Status::ok();
-}
-
 /// Casts a blob of code-carrying float words back to integer codes (codes
 /// fit 16 bits, so the float representation is exact).
 void codes_from_floats(std::span<const float> words,
@@ -179,40 +116,31 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
   // Warm runs find every cache ready and skip the stream entirely.
   CONDOR_CO_RETURN_IF_ERROR(co_await latch_resident_weights());
   for (std::size_t image = 0; image < ctx.batch; ++image) {
-    int frac = 0;
-    if (fixed) {
-      // The upstream producer announces the image blob's dynamic format
-      // ahead of the blob data.
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in_, frac, name()));
-    }
     // Pass 0's input blob, burst-read from the edge and retained like every
     // later pass's input. resize() below the high-water capacity never
     // reallocates (zero-allocation warm state).
+    int frac = 0;
     fused_prev_.resize(program_.external_input_elements());
-    CONDOR_CO_READ_EXACT(
-        in_, std::span<float>(fused_prev_),
-        internal_error("PE '" + name() + "': input stream ended early"));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await read_frame(in_, data_type_, frac, fused_prev_, name()));
     for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
       const LayerPass& pass = program_.passes[pi];
-      const bool last = pi + 1 == program_.passes.size();
       PassSink sink;
-      if (last) {
-        sink.stream = &out_;
+      if (pi + 1 == program_.passes.size()) {
+        sink.edges = &out_;
       } else {
-        // The intermediate blob stays on chip, accumulating the exact byte
-        // sequence a stream would carry. clear() keeps the high-water
-        // capacity (zero-allocation warm state).
-        fused_next_.clear();
+        // The intermediate blob stays on chip: the exact byte sequence a
+        // stream would carry.
         sink.local = &fused_next_;
       }
       if (!fixed) {
         CONDOR_CO_RETURN_IF_ERROR(co_await run_pass(pi, pass, sink));
       } else {
         // Fused intermediate blobs keep their format PE-local; only the
-        // last pass publishes one.
+        // last pass frames one.
         int out_frac = 0;
-        CONDOR_CO_RETURN_IF_ERROR(co_await run_pass_fixed(
-            pi, pass, sink, last ? fmt_out_ : nullptr, frac, out_frac));
+        CONDOR_CO_RETURN_IF_ERROR(
+            co_await run_pass_fixed(pi, pass, sink, frac, out_frac));
         frac = out_frac;
       }
       if (sink.local != nullptr) {
@@ -220,10 +148,7 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
       }
     }
   }
-  out_.close();
-  if (fmt_out_ != nullptr) {
-    fmt_out_->close();
-  }
+  close_edges(out_);
   co_return Status::ok();
 }
 
@@ -365,18 +290,17 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
           }
         }
       });
-      CONDOR_CO_RETURN_IF_ERROR(co_await write_blob(name(), sink, out_blob_));
-      co_return Status::ok();
+      co_return co_await write_blob(sink, out_blob_, name());
     }
 
     case PassKind::kPooling: {
-      // Each channel's output map reduces straight from the frame, walking
-      // the window in ascending (ky, kx) order per output point (the float
-      // reduction order of the reference), and leaves in one burst.
+      // Each output point reduces straight from the frame, walking the
+      // window in ascending (ky, kx) order (the float reduction order of the
+      // reference); the whole blob leaves as one frame.
       const std::span<const float> frame = padded_frame(pass);
       const float window_size =
           static_cast<float>(pass.window_h * pass.window_w);
-      out_blob_.resize(pass.out_h * pass.out_w);
+      out_blob_.resize(pass.in_channels * pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
         const float* channel = frame.data() + c * pass.in_h * pass.in_w;
         for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
@@ -399,41 +323,42 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
             if (pass.pool_method == nn::PoolMethod::kAverage) {
               result /= window_size;
             }
-            out_blob_[oy * pass.out_w + ox] =
+            out_blob_[(c * pass.out_h + oy) * pass.out_w + ox] =
                 nn::apply_activation(pass.activation, result);
           }
         }
-        CONDOR_CO_RETURN_IF_ERROR(
-            co_await write_blob(name(), sink, out_blob_));
       }
-      co_return Status::ok();
+      co_return co_await write_blob(sink, out_blob_, name());
     }
 
     case PassKind::kElementwise: {
-      // 1x1 window: each channel map activates in place and leaves as one
-      // burst.
-      map_.resize(pass.in_h * pass.in_w);
+      // 1x1 window: each channel map gathers into its slot of the output
+      // blob and activates in place; the whole blob leaves as one frame.
+      const std::size_t map_size = pass.in_h * pass.in_w;
+      out_blob_.resize(pass.in_channels * map_size);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
-        gather_local_map(pass, c, std::span<float>(map_));
-        for (float& value : map_) {
+        const std::span<float> map(out_blob_.data() + c * map_size, map_size);
+        gather_local_map(pass, c, map);
+        for (float& value : map) {
           value = nn::apply_activation(pass.activation, value);
         }
-        CONDOR_CO_RETURN_IF_ERROR(co_await write_blob(name(), sink, map_));
       }
-      co_return Status::ok();
+      co_return co_await write_blob(sink, out_blob_, name());
     }
 
     case PassKind::kUpsample: {
       // Nearest-neighbour replication, channel at a time: the activation
       // applies to the source element (exactly forward_upsample's order)
-      // and each scaled row replicates `scale` times.
+      // and each scaled row replicates `scale` times. The whole blob leaves
+      // as one frame.
       const std::size_t scale = pass.scale;
       map_.resize(pass.in_h * pass.in_w);
-      out_blob_.resize(pass.out_h * pass.out_w);
+      out_blob_.resize(pass.out_channels * pass.out_h * pass.out_w);
       for (std::size_t c = 0; c < pass.in_channels; ++c) {
         gather_local_map(pass, c, std::span<float>(map_));
+        float* channel = out_blob_.data() + c * pass.out_h * pass.out_w;
         for (std::size_t y = 0; y < pass.in_h; ++y) {
-          float* out_row = out_blob_.data() + y * scale * pass.out_w;
+          float* out_row = channel + y * scale * pass.out_w;
           for (std::size_t x = 0; x < pass.in_w; ++x) {
             const float value =
                 nn::apply_activation(pass.activation, map_[y * pass.in_w + x]);
@@ -446,10 +371,8 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
                       out_row + sy * pass.out_w);
           }
         }
-        CONDOR_CO_RETURN_IF_ERROR(
-            co_await write_blob(name(), sink, out_blob_));
       }
-      co_return Status::ok();
+      co_return co_await write_blob(sink, out_blob_, name());
     }
 
     case PassKind::kInnerProduct:
@@ -466,8 +389,7 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
 template <typename Acc>
 Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
                                           const LayerPass& pass, PassSink sink,
-                                          Stream* fmt_sink, int in_frac,
-                                          int& out_frac) {
+                                          int in_frac, int& out_frac) {
   const int bits = nn::total_bits(data_type_);
   const std::size_t oc_total = pass.out_channels;
   const std::size_t map_points = pass.out_h * pass.out_w;
@@ -538,14 +460,13 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
   // Requantize the full blob with a fresh dynamic format (the canonical
   // layer-boundary step; the lanes have joined, so the format sees every
   // value).
-  co_return co_await emit_requantized(name(), sink, fmt_sink, out_blob_, bits,
-                                      out_frac, emit_codes_, emit_blob_);
+  co_return co_await emit_requantized(sink, out_blob_, bits, out_frac,
+                                      emit_codes_, emit_blob_, name());
 }
 
 Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
                                      const LayerPass& pass, PassSink sink,
-                                     Stream* fmt_sink, int in_frac,
-                                     int& out_frac) {
+                                     int in_frac, int& out_frac) {
   const int bits = nn::total_bits(data_type_);
 
   switch (pass.kind) {
@@ -555,10 +476,10 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
       // (both arms get materialized and the taken frame is destroyed twice).
       if (data_type_ == nn::DataType::kFixed16) {
         co_return co_await run_conv_pass_fixed<std::int64_t>(
-            pass_index, pass, sink, fmt_sink, in_frac, out_frac);
+            pass_index, pass, sink, in_frac, out_frac);
       }
       co_return co_await run_conv_pass_fixed<std::int32_t>(
-          pass_index, pass, sink, fmt_sink, in_frac, out_frac);
+          pass_index, pass, sink, in_frac, out_frac);
 
     case PassKind::kPooling: {
       // Max pooling reduces over codes directly (dequantization is
@@ -595,9 +516,8 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
           }
         }
       }
-      co_return co_await emit_requantized(name(), sink, fmt_sink, out_blob_,
-                                          bits, out_frac, emit_codes_,
-                                          emit_blob_);
+      co_return co_await emit_requantized(sink, out_blob_, bits, out_frac,
+                                          emit_codes_, emit_blob_, name());
     }
 
     case PassKind::kElementwise: {
@@ -613,9 +533,8 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
               nn::dequantize_code(static_cast<std::int64_t>(map_[i]), in_frac));
         }
       }
-      co_return co_await emit_requantized(name(), sink, fmt_sink, out_blob_,
-                                          bits, out_frac, emit_codes_,
-                                          emit_blob_);
+      co_return co_await emit_requantized(sink, out_blob_, bits, out_frac,
+                                          emit_codes_, emit_blob_, name());
     }
 
     case PassKind::kUpsample: {
@@ -646,9 +565,8 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
           }
         }
       }
-      co_return co_await emit_requantized(name(), sink, fmt_sink, out_blob_,
-                                          bits, out_frac, emit_codes_,
-                                          emit_blob_);
+      co_return co_await emit_requantized(sink, out_blob_, bits, out_frac,
+                                          emit_codes_, emit_blob_, name());
     }
 
     case PassKind::kInnerProduct:
@@ -699,10 +617,10 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
   // capacity never reallocates).
   for (std::size_t image = 0; image < ctx.batch; ++image) {
     // Stage the flattened input of the first pass.
+    int frac = 0;
     current_.resize(program_.passes.front().input_elements());
-    CONDOR_CO_READ_EXACT(
-        in_, std::span<float>(current_),
-        internal_error("PE '" + name() + "': input stream ended early"));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await read_frame(in_, data_type_, frac, current_, name()));
     for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
       const LayerPass& pass = program_.passes[pi];
       switch (pass.kind) {
@@ -744,11 +662,10 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
           co_return internal_error("classifier PE got a windowed pass");
       }
     }
-    CONDOR_CO_WRITE_BURST(
-        out_, current_,
-        internal_error("PE '" + name() + "': output closed mid-batch"));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await write_blob(PassSink{&out_}, current_, name()));
   }
-  out_.close();
+  close_edges(out_);
   co_return Status::ok();
 }
 
@@ -792,11 +709,9 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
 
   for (std::size_t image = 0; image < ctx.batch; ++image) {
     int frac = 0;
-    CONDOR_CO_RETURN_IF_ERROR(co_await read_fmt_word(fmt_in_, frac, name()));
     words_.resize(program_.passes.front().input_elements());
-    CONDOR_CO_READ_EXACT(
-        in_, std::span<float>(words_),
-        internal_error("PE '" + name() + "': input stream ended early"));
+    CONDOR_CO_RETURN_IF_ERROR(
+        co_await read_frame(in_, data_type_, frac, words_, name()));
     codes_from_floats(words_, codes_);
     for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
       const LayerPass& pass = program_.passes[pi];
@@ -838,7 +753,6 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
                                       acc_frac));
             }
           });
-          frac = nn::quantize_span(values_, bits, codes_).frac_bits;
           break;
         }
         case PassKind::kElementwise: {
@@ -847,29 +761,21 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
             values_[i] = nn::apply_activation(
                 pass.activation, nn::dequantize_code(codes_[i], frac));
           }
-          frac = nn::quantize_span(values_, bits, codes_).frac_bits;
           break;
         }
         default:
           co_return internal_error("classifier PE got a windowed pass");
       }
+      // Every pass requantizes its value blob; the last one frames it onto
+      // the out-edges.
+      if (pi + 1 < program_.passes.size()) {
+        frac = nn::quantize_span(values_, bits, codes_).frac_bits;
+      }
     }
-    if (fmt_out_ == nullptr) {
-      co_return internal_error("PE '" + name() +
-                               "': format sink closed mid-batch");
-    }
-    CONDOR_CO_WRITE_ONE(
-        *fmt_out_, static_cast<float>(frac),
-        internal_error("PE '" + name() + "': format sink closed mid-batch"));
-    words_.assign(codes_.begin(), codes_.end());
-    CONDOR_CO_WRITE_BURST(
-        out_, words_,
-        internal_error("PE '" + name() + "': output closed mid-batch"));
+    CONDOR_CO_RETURN_IF_ERROR(co_await emit_requantized(
+        PassSink{&out_}, values_, bits, frac, codes_, words_, name()));
   }
-  out_.close();
-  if (fmt_out_ != nullptr) {
-    fmt_out_->close();
-  }
+  close_edges(out_);
   co_return Status::ok();
 }
 

@@ -40,11 +40,10 @@
 // Fixed-point datapath (plan data_type fixed16/fixed8, see nn/numeric.hpp):
 // blob streams carry integer codes stored in float words (|code| < 2^15 is
 // exact in a float mantissa; the padded frame's zero border is code 0, so
-// the window indexing is numeric-type agnostic). Each blob's dynamic Q-format travels
-// out of band on a per-edge format stream: one word per image, written by
-// the producer BEFORE the blob data (so readers never wait on a format word
-// behind unconsumed blob data). Fused passes keep the intermediate format
-// in a PE-local variable next to the PE-local intermediate blob. PEs
+// the window indexing is numeric-type agnostic). Each blob's dynamic
+// Q-format travels in-band as the header word of its frame
+// (dataflow/frame.hpp). Fused passes keep the intermediate format in a
+// PE-local variable next to the PE-local intermediate blob. PEs
 // quantize their own weights from the raw float weight stream with the same
 // nn/numeric.hpp helpers the QuantizedEngine uses, MAC raw codes in a
 // widened integer accumulator, and requantize the full output blob at every
@@ -77,36 +76,25 @@
 
 #include "common/thread_pool.hpp"
 #include "dataflow/fifo.hpp"
+#include "dataflow/frame.hpp"
 #include "dataflow/module.hpp"
 #include "dataflow/program.hpp"
 #include "nn/numeric.hpp"
 
 namespace condor::dataflow {
 
-/// Where a pass's output blob goes: the downstream stream (last pass) or a
-/// PE-local grow-only buffer that never touches a FIFO (every earlier
-/// fused pass). Exactly one of the two is set.
-struct PassSink {
-  Stream* stream = nullptr;
-  std::vector<float>* local = nullptr;
-};
-
 class FeaturePeModule final : public Module {
  public:
   /// `in` is the PE's inter-PE input edge: one pass-0 input blob per image
   /// (unpadded, (c, y, x) order). `weights` (nullable when no pass carries
   /// parameters) delivers the one-time weight load from the datamover
-  /// (latched resident on first receipt); `out` is the downstream PE
-  /// stream. `parallel_out` compute lanes split each convolution pass's
-  /// output channels across `lane_pool` (nullable for sequential
-  /// execution). For a fixed `data_type`, `fmt_in` / `fmt_out` carry the
-  /// per-image input/output blob formats (one frac_bits word per image,
-  /// ahead of the blob data).
+  /// (latched resident on first receipt); `out` lists the PE's out-edges.
+  /// `parallel_out` compute lanes split each convolution pass's output
+  /// channels across `lane_pool` (nullable for sequential execution).
   FeaturePeModule(std::string name, const PeProgram& program, Stream& in,
-                  Stream* weights, Stream& out, std::size_t parallel_out = 1,
+                  Stream* weights, OutEdges out, std::size_t parallel_out = 1,
                   ThreadPool* lane_pool = nullptr,
-                  nn::DataType data_type = nn::DataType::kFloat32,
-                  Stream* fmt_in = nullptr, Stream* fmt_out = nullptr)
+                  nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
         parallel_out_(parallel_out == 0 ? 1 : parallel_out),
@@ -114,9 +102,7 @@ class FeaturePeModule final : public Module {
         data_type_(data_type),
         in_(in),
         weights_(weights),
-        out_(out),
-        fmt_in_(fmt_in),
-        fmt_out_(fmt_out) {}
+        out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
 
@@ -136,17 +122,15 @@ class FeaturePeModule final : public Module {
 
   /// Fixed-point pass: codes in, codes out. `in_frac` is the input blob's
   /// format; the requantized output blob's format lands in `out_frac` (and,
-  /// when `fmt_sink` is non-null, on the wire ahead of the blob).
+  /// on an edge sink, in the frame's header word).
   Fire run_pass_fixed(std::size_t pass_index, const LayerPass& pass,
-                      PassSink sink, Stream* fmt_sink, int in_frac,
-                      int& out_frac);
+                      PassSink sink, int in_frac, int& out_frac);
 
   /// The convolution body of run_pass_fixed, templated over the widened
   /// accumulator (int64 for fixed16, int32 for fixed8 — see nn/kernels.hpp).
   template <typename Acc>
   Fire run_conv_pass_fixed(std::size_t pass_index, const LayerPass& pass,
-                           PassSink sink, Stream* fmt_sink, int in_frac,
-                           int& out_frac);
+                           PassSink sink, int in_frac, int& out_frac);
 
   /// The retained input blob in the pass's padded frame (in_channels x
   /// in_h x in_w): fused_prev_ itself when the pass has no padding, else
@@ -196,9 +180,7 @@ class FeaturePeModule final : public Module {
   nn::DataType data_type_;
   Stream& in_;
   Stream* weights_;
-  Stream& out_;
-  Stream* fmt_in_;
-  Stream* fmt_out_;
+  OutEdges out_;
 
   // --- steady-state scratch arena (see the header comment) ---------------
   // The outer per-lane vectors are sized once to parallel_out_ and never
@@ -217,14 +199,13 @@ class FeaturePeModule final : public Module {
   std::vector<float> out_blob_;                ///< activated output / values
   std::vector<float> map_;
   std::vector<std::int32_t> emit_codes_;       ///< requantize scratch
-  std::vector<float> emit_blob_;
+  std::vector<float> emit_blob_;               ///< fixed: staged frame
   /// The current pass's input blob — the edge's blob for pass 0, the
   /// previous pass's output for every later pass — retained PE-locally in
   /// exactly the byte sequence a stream carries ((c, y, x) order; fixed
-  /// datapaths: codes in float words), and the buffer the current pass
-  /// appends into. Double-buffered and swapped per fused pass;
-  /// clear() keeps the high-water capacity, so the warm steady state stays
-  /// off the heap.
+  /// datapaths: codes in float words). A fused pass's output lands whole
+  /// in fused_next_, swapped in per fused pass; assign() keeps the
+  /// high-water capacity, so the warm steady state stays off the heap.
   std::vector<float> fused_prev_;
   std::vector<float> fused_next_;
 };
@@ -233,14 +214,12 @@ class ClassifierPeModule final : public Module {
  public:
   /// `weights` delivers the one-time runtime weight load (the classifier's
   /// parameters stay chip-resident across the batch AND across batches —
-  /// the stream is drained once per compiled design). `fmt_in` /
-  /// `fmt_out` are the format side-channels of a fixed `data_type` (see
-  /// FeaturePeModule).
+  /// the stream is drained once per compiled design). `out` lists the PE's
+  /// out-edges.
   ClassifierPeModule(std::string name, const PeProgram& program, Stream& in,
-                     Stream* weights, Stream& out, std::size_t parallel_out = 1,
+                     Stream* weights, OutEdges out, std::size_t parallel_out = 1,
                      ThreadPool* lane_pool = nullptr,
-                     nn::DataType data_type = nn::DataType::kFloat32,
-                     Stream* fmt_in = nullptr, Stream* fmt_out = nullptr)
+                     nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
         parallel_out_(parallel_out == 0 ? 1 : parallel_out),
@@ -248,9 +227,7 @@ class ClassifierPeModule final : public Module {
         data_type_(data_type),
         in_(in),
         weights_(weights),
-        out_(out),
-        fmt_in_(fmt_in),
-        fmt_out_(fmt_out) {}
+        out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
 
@@ -286,9 +263,7 @@ class ClassifierPeModule final : public Module {
   nn::DataType data_type_;
   Stream& in_;
   Stream* weights_;
-  Stream& out_;
-  Stream* fmt_in_;
-  Stream* fmt_out_;
+  OutEdges out_;
 
   // --- steady-state scratch + resident weights (persist across batches;
   // the weight stream is drained exactly once per compiled design — warm
@@ -298,7 +273,7 @@ class ClassifierPeModule final : public Module {
   std::vector<std::vector<float>> pass_bias_;
   std::vector<FixedPassWeights> resident_;          ///< fixed path, per pass
   std::vector<float> weight_buffer_;
-  std::vector<float> words_;
+  std::vector<float> words_;                        ///< fixed: input, frame
   std::vector<float> current_;
   std::vector<float> next_;
   std::vector<std::int32_t> codes_;                 ///< fixed: current blob

@@ -264,5 +264,40 @@ TEST(Cli, RunRequiresArguments) {
   EXPECT_EQ(run({"describe-afi"}).exit_code, 2);
 }
 
+TEST(Cli, MalformedNumericFlagsFailAtParseTime) {
+  // Each value must be rejected before anything runs — a negative value
+  // once wrapped to ~2^64 images and a non-number once parsed as 0. The
+  // run and build cases name missing files: a parse error must win over
+  // the load.
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {{"validate", "--model", "lenet", "--batch", "-3"}, "--batch"},
+      {{"validate", "--model", "lenet", "--batch", "abc"}, "--batch"},
+      {{"validate", "--model", "lenet", "--batch", "4x"}, "--batch"},
+      {{"validate", "--model", "lenet", "--batch",
+        "18446744073709551616"}, "--batch"},
+      {{"validate", "--model", "lenet", "--parallel-out"}, "--parallel-out"},
+      {{"run", "--xclbin", "/missing", "--weights", "/missing", "--instances",
+        "-1"}, "--instances"},
+      {{"dse", "--model", "lenet", "--max-fused", "2x"}, "--max-fused"},
+      {{"serve-bench", "--model", "lenet", "--requests", "+5"}, "--requests"},
+      {{"serve-bench", "--model", "lenet", "--rate", "-5"}, "--rate"},
+      {{"serve-bench", "--model", "lenet", "--max-delay-ms", "abc"},
+       "--max-delay-ms"},
+      {{"serve-bench", "--model", "lenet", "--rate", "inf"}, "--rate"},
+      {{"build", "--onnx", "/missing", "--freq", "200MHz"}, "--freq"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args[0] + " " + c.flag);
+    const CliRun result = run(c.args);
+    EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.err.find(c.flag), std::string::npos) << result.err;
+    EXPECT_TRUE(result.out.empty()) << result.out;
+  }
+}
+
 }  // namespace
 }  // namespace condor::cli

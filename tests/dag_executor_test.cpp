@@ -149,6 +149,58 @@ TEST(DagExecutor, WarmRunsStreamNoWeightBytes) {
       << "warm run re-streamed weights despite residency";
 }
 
+// --- a fork whose blob exceeds the edge depth cap -------------------------
+
+/// data -> pool -> {conv1x1, add port 1}; conv1x1 -> add port 0. The pool's
+/// 4x256x256 output is one element past what an edge parks under
+/// kMaxPipelineEdgeDepth, so its edge to the add fills while the add still
+/// waits on the conv. The fork only drains if the pool writes each frame
+/// whole to the conv's edge (plan edge order) before the add's edge; a
+/// producer that fed its edges channel by channel wedges here.
+nn::Network make_capped_fork() {
+  nn::Network net("capped-fork");
+  nn::LayerSpec input;
+  input.name = "data";
+  input.kind = nn::LayerKind::kInput;
+  input.input_channels = 4;
+  input.input_height = 257;
+  input.input_width = 257;
+  net.add(input);
+  nn::LayerSpec pool;
+  pool.name = "pool";
+  pool.kind = nn::LayerKind::kPooling;
+  pool.pool_method = nn::PoolMethod::kAverage;
+  pool.kernel_h = pool.kernel_w = 2;
+  pool.stride = 1;
+  net.add(pool);
+  nn::LayerSpec conv;
+  conv.name = "conv";
+  conv.kind = nn::LayerKind::kConvolution;
+  conv.num_output = 4;
+  conv.kernel_h = conv.kernel_w = 1;
+  conv.activation = nn::Activation::kReLU;
+  net.add(conv);
+  nn::LayerSpec add;
+  add.name = "add";
+  add.kind = nn::LayerKind::kEltwiseAdd;
+  add.inputs = {"conv", "pool"};
+  net.add(add);
+  return net;
+}
+
+TEST(DagExecutor, ForkPastTheEdgeDepthCapFloat32) {
+  const nn::Network network = make_capped_fork();
+  auto shapes = network.infer_shapes();
+  ASSERT_TRUE(shapes.is_ok()) << shapes.status().to_string();
+  ASSERT_GT(shapes.value()[1].output.element_count() + 1,
+            dataflow::kMaxPipelineEdgeDepth);
+  expect_dag_bit_exact(network, nn::DataType::kFloat32, 1, 2, 131);
+}
+
+TEST(DagExecutor, ForkPastTheEdgeDepthCapFixed8) {
+  expect_dag_bit_exact(make_capped_fork(), nn::DataType::kFixed8, 1, 2, 137);
+}
+
 TEST(DagExecutor, MultiImagePipeliningThroughResidualBlock) {
   const nn::Network network = nn::make_tiny_resnet();
   auto weights = nn::initialize_weights(network, 113);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "common/strings.hpp"
 #include "dataflow/executor.hpp"
@@ -283,6 +284,51 @@ TEST(DataflowExecutor, ParallelInputLanesMatchReference) {
   // no module per filter or lane.
   EXPECT_EQ(executor.value().last_run_stats().modules, 12u);
 }
+
+class DataflowWiring
+    : public ::testing::TestWithParam<std::tuple<const char*, nn::DataType>> {};
+
+TEST_P(DataflowWiring, OneStreamPerPlanEdge) {
+  // The executor builds exactly one stream per plan edge plus one weight
+  // stream per weighted PE, and one module per PE and weight mover plus the
+  // two datamover halves, on every datapath: fixed-point formats travel
+  // in-band and a fork is only wiring, so neither adds a stream or module.
+  const auto [model_name, data_type] = GetParam();
+  auto network = nn::make_model(model_name);
+  ASSERT_TRUE(network.is_ok());
+  auto weights = nn::initialize_weights(network.value(), 17);
+  ASSERT_TRUE(weights.is_ok());
+  hw::HwNetwork hw_net = hw::with_default_annotations(network.value());
+  hw_net.hw.data_type = data_type;
+  auto plan = hw::plan_accelerator(hw_net);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  std::size_t weighted_pes = 0;
+  for (std::size_t p = 0; p < plan.value().pes.size(); ++p) {
+    auto program = dataflow::build_pe_program(plan.value(), p, weights.value());
+    ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+    weighted_pes += program.value().weight_stream_elements() > 0 ? 1 : 0;
+  }
+  auto executor =
+      dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
+  ASSERT_TRUE(executor.is_ok());
+  const auto inputs = testing::random_inputs(network.value(), 2, 19);
+  auto outputs = executor.value().run_batch(inputs);
+  ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
+  const dataflow::RunStats& stats = executor.value().last_run_stats();
+  EXPECT_EQ(stats.streams, plan.value().edges.size() + weighted_pes);
+  EXPECT_EQ(stats.modules, plan.value().pes.size() + weighted_pes + 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndDatapaths, DataflowWiring,
+    ::testing::Combine(::testing::Values("lenet", "lenet_skip", "tiny_resnet"),
+                       ::testing::Values(nn::DataType::kFloat32,
+                                         nn::DataType::kFixed16,
+                                         nn::DataType::kFixed8)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_" +
+             std::string(nn::to_string(std::get<1>(info.param)));
+    });
 
 TEST(DataflowExecutor, ParallelOutSweepMatchesReference) {
   // parallel_out > 1 partitions each pass's output channels across compute

@@ -281,12 +281,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetwork,
 // through both frontend formats.
 // ---------------------------------------------------------------------------
 
-/// Builds a random valid DAG: a trunk conv, then 1-2 join rounds (eltwise
-/// residual with a 1x1/identity skip, or a two-branch channel concat),
-/// optionally an upsample, then an optional pool/classifier tail. All
-/// branch geometry is size-preserving (3x3 pad 1 / 1x1) so join shapes
-/// always agree.
-nn::Network random_dag_network(Rng& rng) {
+/// Builds a random valid DAG: a trunk conv (when `with_trunk`), then 1-2 join
+/// rounds (eltwise residual with a 1x1/identity skip, or a two-branch
+/// channel concat), optionally an upsample, then an optional
+/// pool/classifier tail. All branch geometry is size-preserving (3x3 pad 1 /
+/// 1x1) so join shapes always agree. Without the trunk, round 0 reads
+/// "data" directly: the input datamover feeds two edges and a join may read
+/// the input edge.
+nn::Network random_dag_network(Rng& rng, bool with_trunk) {
   nn::Network net("dagrand" + std::to_string(rng.bounded(1000000)));
   std::size_t channels = 1 + rng.bounded(3);
   std::size_t size = 8 + rng.bounded(8);  // 8..15
@@ -318,9 +320,12 @@ nn::Network random_dag_network(Rng& rng) {
     net.add(std::move(conv));
   };
 
-  add_conv("trunk", 1 + rng.bounded(4), 3, 1, "data");
-  std::string trunk = "trunk";
-  channels = net.layers().back().num_output;
+  std::string trunk = "data";
+  if (with_trunk) {
+    add_conv("trunk", 1 + rng.bounded(4), 3, 1, "data");
+    trunk = "trunk";
+    channels = net.layers().back().num_output;
+  }
 
   const std::size_t rounds = 1 + rng.bounded(2);
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -398,9 +403,13 @@ nn::Network random_dag_network(Rng& rng) {
 
 class RandomDagNetwork : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Seeds 1..kTrunkSeeds draw DAGs behind a trunk conv; the seeds after them
+/// draw DAGs without one, so the network input fans out.
+constexpr std::uint64_t kTrunkSeeds = 24;
+
 TEST_P(RandomDagNetwork, DataflowMatchesReferenceBitExactAllDatapaths) {
   Rng rng(GetParam() ^ 0xDA6DA6);
-  const nn::Network net = random_dag_network(rng);
+  const nn::Network net = random_dag_network(rng, GetParam() <= kTrunkSeeds);
   ASSERT_TRUE(net.validate().is_ok()) << net.validate().to_string();
 
   auto weights = nn::initialize_weights(net, GetParam() * 5 + 1);
@@ -443,12 +452,13 @@ TEST_P(RandomDagNetwork, DataflowMatchesReferenceBitExactAllDatapaths) {
 
 TEST_P(RandomDagNetwork, AnalyzeAgreesWithItsViews) {
   Rng rng(GetParam() ^ 0x7090);
-  const nn::Network net = random_dag_network(rng);
+  const nn::Network net = random_dag_network(rng, GetParam() <= kTrunkSeeds);
   ASSERT_TRUE(net.analyze().is_ok()) << net.analyze().status().to_string();
   testing::expect_topology_agrees(net);
 
   // Broken variants of the same DAG: an unknown producer, a cycle through
-  // the trunk, and a join whose operand shapes disagree (structurally valid).
+  // layer 1 (the trunk, or a round-0 branch without one), and a join whose
+  // operand shapes disagree (structurally valid).
   const std::size_t join = [&] {
     for (std::size_t i = 0; i < net.layer_count(); ++i) {
       if (net.layers()[i].is_join()) {
@@ -485,7 +495,7 @@ TEST_P(RandomDagNetwork, AnalyzeAgreesWithItsViews) {
 
 TEST_P(RandomDagNetwork, CaffeRoundTripPreservesDagTopology) {
   Rng rng(GetParam() ^ 0xCAFED);
-  const nn::Network net = random_dag_network(rng);
+  const nn::Network net = random_dag_network(rng, GetParam() <= kTrunkSeeds);
   auto weights = nn::initialize_weights(net, GetParam() + 23);
   ASSERT_TRUE(weights.is_ok());
 
@@ -518,7 +528,7 @@ TEST_P(RandomDagNetwork, CaffeRoundTripPreservesDagTopology) {
 
 TEST_P(RandomDagNetwork, OnnxRoundTripPreservesDagTopology) {
   Rng rng(GetParam() ^ 0x00DD);
-  const nn::Network net = random_dag_network(rng);
+  const nn::Network net = random_dag_network(rng, GetParam() <= kTrunkSeeds);
   auto weights = nn::initialize_weights(net, GetParam() + 31);
   ASSERT_TRUE(weights.is_ok());
 
@@ -543,7 +553,7 @@ TEST_P(RandomDagNetwork, OnnxRoundTripPreservesDagTopology) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagNetwork,
-                         ::testing::Range<std::uint64_t>(1, 25));
+                         ::testing::Range<std::uint64_t>(1, 37));
 
 }  // namespace
 }  // namespace condor

@@ -247,8 +247,9 @@ TEST(SteadyStateAlloc, TinyNetFusedFixed16ParallelLanes) {
                                         /*fuse_chain=*/2);
 }
 
-// DAG topologies: the join and broadcast modules must hold the same
-// zero-allocation steady-state contract as the linear-chain modules.
+// DAG topologies: the join and the producers that feed several out-edges
+// must hold the same zero-allocation steady-state contract as the
+// linear-chain modules.
 TEST(SteadyStateAlloc, TinyResnetFloat32) {
   expect_steady_state_allocates_nothing(nn::make_tiny_resnet(),
                                         nn::DataType::kFloat32, 1, 61);
