@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the engine substrate: FIFO
-// throughput, functional accelerator execution vs the golden CPU reference,
-// and the discrete-event simulator's event rate.
+// transfer calls and the scheduler's two-module hand-off, functional
+// accelerator execution vs the golden CPU reference, and the discrete-event
+// simulator's event rate.
 //
 // These quantify the *host-side* cost of the simulation infrastructure —
 // they are not device-performance claims (those come from the cycle
 // simulator in the table/figure benches).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
 #include "dataflow/fifo.hpp"
@@ -31,75 +34,106 @@ namespace {
 
 using namespace condor;
 
+/// One thread writes a ring's worth of elements, then reads them back, one
+/// element per FIFO call: the cost of the transfer calls themselves (index
+/// arithmetic, release/acquire publishes and the wake handshake's fence).
 void BM_FifoSingleThreaded(benchmark::State& state) {
   dataflow::Stream fifo(static_cast<std::size_t>(state.range(0)));
   const std::size_t burst = fifo.capacity();
+  const float one = 1.0F;
   float value = 0.0F;
   for (auto _ : state) {
     for (std::size_t i = 0; i < burst; ++i) {
-      fifo.write(1.0F);
+      benchmark::DoNotOptimize(
+          fifo.try_write_burst(std::span<const float>(&one, 1)));
     }
     for (std::size_t i = 0; i < burst; ++i) {
-      benchmark::DoNotOptimize(fifo.read(value));
+      benchmark::DoNotOptimize(
+          fifo.try_read_burst(std::span<float>(&value, 1)));
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(burst));
 }
 BENCHMARK(BM_FifoSingleThreaded)->Arg(16)->Arg(256);
 
-void BM_FifoProducerConsumer(benchmark::State& state) {
-  constexpr std::size_t kCount = 100'000;
-  for (auto _ : state) {
-    dataflow::Stream fifo(static_cast<std::size_t>(state.range(0)));
-    std::thread producer([&fifo] {
-      for (std::size_t i = 0; i < kCount; ++i) {
-        fifo.write(static_cast<float>(i));
-      }
-      fifo.close();
-    });
-    float value = 0.0F;
-    std::size_t received = 0;
-    while (fifo.read(value)) {
-      ++received;
+constexpr std::size_t kHandoffCount = 100'000;
+
+/// Sends 0..kHandoffCount-1 in runs of `burst` elements (1 = one element
+/// per write), then closes the stream.
+class HandoffSource final : public dataflow::Module {
+ public:
+  HandoffSource(dataflow::Stream& out, std::size_t burst)
+      : Module("source"), out_(out), items_(burst) {}
+  dataflow::Fire fire(const dataflow::RunContext&) override {
+    for (std::size_t sent = 0; sent < kHandoffCount; sent += items_.size()) {
+      const std::size_t n = std::min(items_.size(), kHandoffCount - sent);
+      std::fill_n(items_.begin(), n, static_cast<float>(sent));
+      CONDOR_CO_WRITE_BURST(out_, std::span<const float>(items_).first(n),
+                            internal_error("source: stream closed"));
     }
-    producer.join();
-    if (received != kCount) {
+    out_.close();
+    co_return Status::ok();
+  }
+
+ private:
+  dataflow::Stream& out_;
+  std::vector<float> items_;
+};
+
+/// Receives the source's elements in runs of `burst`, then expects EOS.
+class HandoffSink final : public dataflow::Module {
+ public:
+  HandoffSink(dataflow::Stream& in, std::size_t burst)
+      : Module("sink"), in_(in), items_(burst) {}
+  dataflow::Fire fire(const dataflow::RunContext&) override {
+    for (std::size_t got = 0; got < kHandoffCount; got += items_.size()) {
+      const std::size_t n = std::min(items_.size(), kHandoffCount - got);
+      CONDOR_CO_READ_EXACT(in_, std::span<float>(items_).first(n),
+                           internal_error("sink: lost elements"));
+    }
+    float extra = 0.0F;
+    bool more = false;
+    CONDOR_CO_READ_ONE_OR_EOS(in_, extra, more);
+    co_return more ? internal_error("sink: extra elements") : Status::ok();
+  }
+
+ private:
+  dataflow::Stream& in_;
+  std::vector<float> items_;
+};
+
+/// The hand-off the executor really uses: a two-module graph on two
+/// cooperative workers (the caller plus one pool thread), moving
+/// kHandoffCount elements through one stream of capacity arg0 in runs of
+/// arg1 elements. A firing that finds the stream full or empty suspends,
+/// and the peer's publish wakes it through the scheduler's ready ring.
+void BM_FifoHandoff(benchmark::State& state, std::size_t burst) {
+  dataflow::Graph graph;
+  dataflow::Stream& stream =
+      graph.make_stream(static_cast<std::size_t>(state.range(0)), "handoff");
+  graph.add_module<HandoffSource>(stream, burst);
+  graph.add_module<HandoffSink>(stream, burst);
+  ThreadPool pool(1);
+  dataflow::GraphRunOptions options;
+  options.workers = 2;
+  for (auto _ : state) {
+    graph.reopen_streams();
+    if (!graph.run({}, &pool, options).is_ok()) {
       state.SkipWithError("lost elements");
     }
   }
-  state.SetItemsProcessed(state.iterations() * kCount);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kHandoffCount));
 }
-BENCHMARK(BM_FifoProducerConsumer)->Arg(16)->Arg(1024);
-
-/// Burst transfers across the same two-thread handoff: rows move per FIFO
+void BM_FifoProducerConsumer(benchmark::State& state) {
+  BM_FifoHandoff(state, 1);
+}
+/// Burst transfers across the same hand-off: 128 elements move per FIFO
 /// call, so the synchronization cost amortizes over the burst length.
 void BM_FifoBurstProducerConsumer(benchmark::State& state) {
-  constexpr std::size_t kCount = 100'000;
-  constexpr std::size_t kBurst = 128;
-  std::vector<float> out(kBurst);
-  for (auto _ : state) {
-    dataflow::Stream fifo(static_cast<std::size_t>(state.range(0)));
-    std::thread producer([&] {
-      std::vector<float> burst(kBurst);
-      for (std::size_t sent = 0; sent < kCount; sent += kBurst) {
-        const std::size_t n = std::min(kBurst, kCount - sent);
-        burst.assign(n, static_cast<float>(sent));
-        fifo.write_burst(std::span<const float>(burst.data(), n));
-      }
-      fifo.close();
-    });
-    std::size_t received = 0;
-    std::size_t got = 0;
-    while ((got = fifo.read_burst(std::span<float>(out))) != 0) {
-      received += got;
-    }
-    producer.join();
-    if (received != kCount) {
-      state.SkipWithError("lost elements");
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kCount);
+  BM_FifoHandoff(state, 128);
 }
+BENCHMARK(BM_FifoProducerConsumer)->Arg(16)->Arg(1024);
 BENCHMARK(BM_FifoBurstProducerConsumer)->Arg(16)->Arg(1024);
 
 /// One image through the full KPN accelerator.

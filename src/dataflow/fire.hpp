@@ -2,17 +2,18 @@
 //
 // A module body is a C++20 coroutine returning `Fire`: it runs until a
 // stream operation would block, then suspends with a "blocked on stream S
-// for read/write" record instead of parking the OS thread. The cooperative
-// scheduler (`Graph::run`) — the only driver — re-fires a blocked module
-// once a FIFO wakeup hook reports the stream ready, so a whole graph runs
-// on any number of workers, including one.
+// for read/write" record and returns its worker to the scheduler. The
+// cooperative scheduler (`Graph::run`) re-fires a blocked module once a
+// FIFO wakeup hook reports the stream ready, so a whole graph runs on any
+// number of workers, including one.
 //
-// The driver contract is carried in a thread-local `FireContext`: the
-// StreamBlock awaiter records the blocked stream/op and the innermost resume
-// point there, then asks the scheduler (`on_block`) whether the suspension
-// should stand. Nested firings (helper coroutines) chain through
-// continuations with symmetric transfer, so one module firing is one logical
-// stack that always resumes at its innermost suspension point.
+// The scheduler's per-firing state is carried in a thread-local
+// `FireContext`: the StreamBlock awaiter records the blocked stream/op and
+// the innermost resume point there, then hands the suspension to the
+// scheduler (`suspend_on_stream`); the root firing's final suspend reports
+// its result (`complete_firing`). Nested firings (helper coroutines) chain
+// through continuations with symmetric transfer, so one module firing is one
+// logical stack that always resumes at its innermost suspension point.
 //
 // Coroutine frames are recycled through a per-module `FrameArena` (an
 // exact-size freelist): after the first batch warms the arena, steady-state
@@ -34,35 +35,32 @@
 namespace condor::dataflow {
 
 class FrameArena;
-struct FireContext;
 
 /// Which FIFO endpoint a suspended firing is waiting on.
 enum class StreamOp : std::uint8_t { kRead, kWrite };
 
-/// Driver-side state for one module firing, published to the coroutine
-/// machinery through `active_fire_context()`. The driver owns the instance;
-/// the StreamBlock awaiter fills the blocked_* fields at every suspension.
+/// Scheduler-side state for one module firing, published to the coroutine
+/// machinery through `active_fire_context()`. The scheduler owns the
+/// instance; the StreamBlock awaiter fills the blocked_* fields at every
+/// suspension.
 struct FireContext {
   Stream* blocked_stream = nullptr;      ///< stream the firing waits on
   StreamOp blocked_op = StreamOp::kRead; ///< endpoint it waits for
   std::coroutine_handle<> resume_point;  ///< innermost suspension to resume
   void* user = nullptr;                  ///< scheduler's per-module record
-
-  /// Cooperative hook: called (on the firing's thread) when the body would
-  /// block. Returns true to keep the suspension (the scheduler re-fires via
-  /// a FIFO wakeup) or false to cancel it and resume immediately (the
-  /// stream turned ready while registering). nullptr selects the blocking
-  /// driver: the suspension always stands and control returns from resume().
-  bool (*on_block)(FireContext&) noexcept = nullptr;
-
-  /// Called exactly once, from the final-suspend point of the *root* firing,
-  /// with the firing's result. nullptr for drivers that poll done() instead.
-  void (*on_done)(FireContext&, Status&&) = nullptr;
 };
 
-/// The FireContext the current thread is executing under. Drivers set this
-/// around every resume (coroutine TLS must follow the firing across worker
-/// threads); it is nullptr outside module execution.
+/// Scheduler entry points (defined in graph.cpp). suspend_on_stream runs on
+/// the firing's thread when the body would block: it registers the FIFO
+/// wakeup and the suspension always stands — the scheduler re-fires the
+/// module once the stream reports ready. complete_firing runs exactly once,
+/// from the final-suspend point of the *root* firing, with its result.
+void suspend_on_stream(FireContext& context) noexcept;
+void complete_firing(FireContext& context, Status&& status);
+
+/// The FireContext the current thread is executing under. The scheduler
+/// sets this around every resume (coroutine TLS must follow the firing
+/// across worker threads); it is nullptr outside module execution.
 inline FireContext*& active_fire_context() noexcept {
   thread_local FireContext* ctx = nullptr;
   return ctx;
@@ -139,18 +137,19 @@ class FrameArena {
   Header* all_head_ = nullptr;   ///< every allocation, freed on destruction
 };
 
-/// The arena the current thread allocates coroutine frames from. Drivers set
-/// this (to the firing module's arena) together with active_fire_context();
-/// frames created with no arena fall back to plain malloc.
+/// The arena the current thread allocates coroutine frames from. The
+/// scheduler sets this (to the firing module's arena) together with
+/// active_fire_context(); frames created with no arena fall back to plain
+/// malloc.
 inline FrameArena*& active_frame_arena() noexcept {
   thread_local FrameArena* arena = nullptr;
   return arena;
 }
 
 /// A module firing (or nested helper firing): an eagerly-created, lazily-
-/// started coroutine producing a Status. Root firings are resumed by a
-/// driver; nested firings are co_awaited by their parent and chain back via
-/// symmetric transfer. Move-only owner of the coroutine frame.
+/// started coroutine producing a Status. Root firings are resumed by the
+/// scheduler; nested firings are co_awaited by their parent and chain back
+/// via symmetric transfer. Move-only owner of the coroutine frame.
 class Fire {
  public:
   struct promise_type;
@@ -169,7 +168,7 @@ class Fire {
   ~Fire() { reset(); }
 
   /// Destroys the frame (must be suspended: initial, a stream block, or
-  /// final). Root firings are reset by their driver before the run returns
+  /// final). Root firings are reset by the scheduler before the run returns
   /// so frames never outlive the module's arena.
   void reset() {
     if (handle_) {
@@ -178,10 +177,7 @@ class Fire {
     }
   }
 
-  [[nodiscard]] bool valid() const noexcept { return static_cast<bool>(handle_); }
-  [[nodiscard]] bool done() const noexcept { return handle_.done(); }
   [[nodiscard]] std::coroutine_handle<> handle() const noexcept { return handle_; }
-  [[nodiscard]] Status& status() noexcept { return handle_.promise().status; }
 
   struct promise_type {
     Status status;
@@ -192,8 +188,8 @@ class Fire {
     std::suspend_always initial_suspend() noexcept { return {}; }
 
     /// Final suspend: resume the parent (nested firing) or report completion
-    /// to the driver (root). Runs with the frame already suspended, so a
-    /// scheduler woken by on_done may legally destroy the frame.
+    /// to the scheduler (root). Runs with the frame already suspended, so a
+    /// scheduler woken by complete_firing may legally destroy the frame.
     struct FinalAwaiter {
       [[nodiscard]] bool await_ready() const noexcept { return false; }
       std::coroutine_handle<> await_suspend(Handle handle) const noexcept {
@@ -201,8 +197,8 @@ class Fire {
         if (promise.continuation) {
           return promise.continuation;
         }
-        if (promise.origin != nullptr && promise.origin->on_done != nullptr) {
-          promise.origin->on_done(*promise.origin, std::move(promise.status));
+        if (promise.origin != nullptr) {
+          complete_firing(*promise.origin, std::move(promise.status));
         }
         return std::noop_coroutine();
       }
@@ -215,8 +211,9 @@ class Fire {
       status = internal_error("unhandled exception in module firing");
     }
 
-    /// Frames come from the firing module's arena (set by the driver before
-    /// the coroutine is created) and are recycled there on destruction.
+    /// Frames come from the firing module's arena (set by the scheduler
+    /// before the coroutine is created) and are recycled there on
+    /// destruction.
     static void* operator new(std::size_t bytes) {
       FrameArena* arena = active_frame_arena();
       if (arena != nullptr) {
@@ -267,36 +264,31 @@ class Fire {
 
 /// Awaiter for "this firing would block on `stream`": records the blocked
 /// stream/op and the innermost resume point in the active FireContext, then
-/// defers to the driver. In blocking mode (on_block == nullptr) the
-/// suspension always stands — control returns from the driver's resume(),
-/// which parks on the stream. In cooperative mode on_block registers the
-/// wakeup and may cancel the suspension if the stream turned ready first.
+/// hands the suspension to the scheduler, which registers the wakeup.
 struct StreamBlock {
   Stream* stream;
   StreamOp op;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  [[nodiscard]] bool await_suspend(std::coroutine_handle<> handle) const noexcept {
+  void await_suspend(std::coroutine_handle<> handle) const noexcept {
     FireContext& context = *active_fire_context();
     context.blocked_stream = stream;
     context.blocked_op = op;
     context.resume_point = handle;
-    if (context.on_block == nullptr) {
-      return true;
-    }
-    return context.on_block(context);
+    suspend_on_stream(context);
   }
   void await_resume() const noexcept {}
 };
 
 }  // namespace condor::dataflow
 
-// Statement macros for stream access inside Fire coroutine bodies. The hot
-// path is a plain non-blocking burst — no coroutine frame, no virtual call;
-// only the would-block edge suspends. Each macro mirrors the blocking API's
-// semantics exactly (including the close-while-writing hard error and the
-// drain-then-EOS read contract), which is what keeps the cooperative and
-// threaded executions bit-identical.
+// Statement macros for stream access inside Fire coroutine bodies — the
+// paper's blocking reads and writes. The hot path is a plain burst transfer
+// (no coroutine frame, no virtual call); only a transfer that stops short
+// suspends, and the firing resumes where it left off once the stream is
+// ready. The macros carry the whole KPN contract (the close-while-writing
+// hard error and the drain-then-EOS read), which is what keeps executions
+// bit-identical at any worker count.
 
 /// Reads exactly out.size() elements from `stream` into span `out`;
 /// co_returns `on_eos` if the stream closes before the span fills.

@@ -221,12 +221,14 @@ void ModuleRec::wake() noexcept {
   }
 }
 
-/// Cooperative on_block: register the wakeup hook on the blocked stream,
-/// publish the blocked state, then re-check readiness (Dekker handshake
-/// against the peer's transition wake). The suspension always stands; when
-/// the re-check finds the stream already ready, the record wakes itself
-/// through the ready ring rather than cancelling the suspension inline.
-bool coop_on_block(FireContext& fc) noexcept {
+}  // namespace
+
+/// Registers the wakeup hook on the blocked stream, publishes the blocked
+/// state, then re-checks readiness (Dekker handshake against the peer's
+/// wake). The suspension always stands; when the re-check finds the stream
+/// already ready, the record wakes itself through the ready ring rather
+/// than cancelling the suspension inline.
+void suspend_on_stream(FireContext& fc) noexcept {
   auto* rec = static_cast<ModuleRec*>(fc.user);
   rec->resume_handle = fc.resume_point;
   // Counters must be bumped before the kBlocked store: the instant the
@@ -258,14 +260,13 @@ bool coop_on_block(FireContext& fc) noexcept {
     // resume_handle.
     rec->wake();
   }
-  return true;
 }
 
 /// Root-firing completion: records the status, marks the module done, and
 /// bumps the run's done count. Runs at the firing's final-suspend point
 /// (frame already suspended), so the run owner may destroy the frame as
 /// soon as it observes the count.
-void coop_on_done(FireContext& fc, Status&& status) {
+void complete_firing(FireContext& fc, Status&& status) {
   auto* rec = static_cast<ModuleRec*>(fc.user);
   rec->status = std::move(status);
   if (!rec->status.is_ok()) {
@@ -284,12 +285,6 @@ void coop_on_done(FireContext& fc, Status&& status) {
   run.cv.notify_all();
 }
 
-}  // namespace
-
-Status Graph::run(const RunContext& ctx, ThreadPool* pool) {
-  return run(ctx, pool, GraphRunOptions{});
-}
-
 Status Graph::run(const RunContext& ctx, ThreadPool* pool,
                   const GraphRunOptions& options) {
   if (modules_.empty()) {
@@ -303,11 +298,7 @@ Status Graph::run(const RunContext& ctx, ThreadPool* pool,
     workers = 1;
   }
   last_run_workers_ = workers;
-  return run_cooperative(ctx, pool, workers);
-}
 
-Status Graph::run_cooperative(const RunContext& ctx, ThreadPool* pool,
-                              std::size_t workers) {
   auto run = std::make_shared<CoopRun>(modules_.size());
   run->graph = this;
   for (std::size_t i = 0; i < modules_.size(); ++i) {
@@ -316,8 +307,6 @@ Status Graph::run_cooperative(const RunContext& ctx, ThreadPool* pool,
     rec.run = run.get();
     rec.module->counters() = Module::FireCounters{};
     rec.fire_ctx.user = &rec;
-    rec.fire_ctx.on_block = &coop_on_block;
-    rec.fire_ctx.on_done = &coop_on_done;
     // Create the root firing with this record's context/arena active so the
     // promise captures the right origin and the frame lands in the module's
     // arena.

@@ -58,13 +58,12 @@ class Graph {
     return ref;
   }
 
-  /// Runs every module to completion. Returns the first module failure (by
-  /// module order), or OK.
-  Status run(const RunContext& ctx = {}, ThreadPool* pool = nullptr);
-
-  /// As above with an explicit worker-count target.
-  Status run(const RunContext& ctx, ThreadPool* pool,
-             const GraphRunOptions& options);
+  /// Runs every module to completion on the calling thread plus `pool`
+  /// tasks, up to the worker target in `options` (sequential on the caller
+  /// when pool is nullptr). Returns the first module failure (by module
+  /// order), or OK.
+  Status run(const RunContext& ctx = {}, ThreadPool* pool = nullptr,
+             const GraphRunOptions& options = {});
 
   /// Re-arms every stream (clears EOS + stats) for another run over the
   /// same topology. Only valid between runs.
@@ -88,9 +87,6 @@ class Graph {
   }
 
  private:
-  Status run_cooperative(const RunContext& ctx, ThreadPool* pool,
-                         std::size_t workers);
-
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Module>> modules_;
   std::size_t last_run_workers_ = 0;

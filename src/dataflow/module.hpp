@@ -86,8 +86,9 @@ class Module {
 
   /// The module body: a coroutine that consumes inputs, produces outputs,
   /// and co_returns when the configured workload (the context's batch of
-  /// images) is complete. Stream accesses go through the CONDOR_CO_* macros
-  /// so the body suspends — instead of parking — when a FIFO would block.
+  /// images) is complete. Stream accesses go through the CONDOR_CO_* macros,
+  /// so a body suspends when a FIFO would block and its worker moves on to
+  /// another ready module.
   /// An error status aborts the whole graph run.
   virtual Fire fire(const RunContext& ctx) = 0;
 
