@@ -470,10 +470,11 @@ BENCHMARK(BM_ConvMicrokernel)
     ->Args({1, 1})
     ->Args({1, 2});
 
-/// Steady-state LeNet serving at uniform intra-layer unfolding degrees:
-/// parallel_out output-channel lanes per PE on the shared pool (Arg =
-/// degree). On a single hardware thread the degrees should roughly tie;
-/// with cores to spare the higher degrees cut batch latency.
+/// Steady-state LeNet serving at uniform intra-layer unfolding degrees
+/// (Arg = parallel_out). The degree is a plan parameter: the resource and
+/// performance models price it, and the executor computes every pass
+/// full-width whatever its value, so host time must not depend on it — the
+/// three rows should tie within noise.
 void BM_AcceleratorParallelOut(benchmark::State& state) {
   const nn::Network model = nn::make_lenet();
   auto weights = nn::initialize_weights(model, 1).value();

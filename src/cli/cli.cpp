@@ -15,6 +15,8 @@
 #include "condor/flow.hpp"
 #include "condor/report.hpp"
 #include "hw/dse.hpp"
+#include "hw/performance_model.hpp"
+#include "hw/resource_model.hpp"
 #include "nn/kernels_simd.hpp"
 #include "nn/models.hpp"
 #include "dataflow/executor.hpp"
@@ -141,7 +143,11 @@ int usage(std::ostream& err) {
          "  fig5    --model M                    batch-size latency sweep\n"
          "  validate --model M [--batch N] [--parallel-out D]\n"
          "           [--data-type float32|fixed16|fixed8] [--instances N]\n"
-         "                                       dataflow engine vs reference\n"
+         "                                       dataflow engine vs reference;\n"
+         "                                       D sets the plan's unroll degree,\n"
+         "                                       priced by the resource and\n"
+         "                                       performance models (no host\n"
+         "                                       lanes)\n"
          "  serve-bench --model M [--rate RPS] [--requests N]\n"
          "           [--max-batch N] [--preferred-batch N] [--max-delay-ms MS]\n"
          "           [--instances N] [--data-type T] [--seed S]\n"
@@ -401,11 +407,13 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "validate requires --model\n";
     return 2;
   }
-  // Uniform intra-layer unfolding degree, clamped per layer to its output
-  // map count (a 10-output classifier caps at 10 lanes regardless of the
-  // requested degree). Multi-instance validation proves the sharded pool
-  // stays bit-exact: the same oracle comparison runs with the batch split
-  // across N replicas.
+  // Uniform intra-layer unfolding degree of the plan, clamped per layer to
+  // its output map count (a 10-output classifier caps at 10 regardless of
+  // the requested degree). It is a hardware degree: the resource and
+  // performance models price it, and the executor computes every pass
+  // full-width on the host whatever its value. Multi-instance validation
+  // proves the sharded pool stays bit-exact: the same oracle comparison
+  // runs with the batch split across N replicas.
   const auto batch = args.count("batch", 4);
   const auto parallel_out = args.count("parallel-out", 1, 1);
   const auto instances = args.count("instances", 1, 1);
@@ -499,6 +507,21 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     err << depth.status().to_string() << "\n";
     return 1;
   }
+  // The unroll degree is priced by the models, not run as host lanes.
+  const hw::ResourceReport resources = hw::estimate_resources_unchecked(
+      plan.value(), hw::cost_model_for(data_type.value()));
+  auto performance = hw::estimate_performance(plan.value(), resources,
+                                              hw_net.hw.target_frequency_mhz);
+  if (!performance.is_ok()) {
+    err << performance.status().to_string() << "\n";
+    return 1;
+  }
+  out << strings::format(
+      "unroll: parallel_out=%zu sets the plan's unroll degree, priced by the "
+      "models at %llu DSPs and %.2f GFLOPS at the %.0f MHz target (no host "
+      "lanes: every pass runs full-width)\n",
+      *parallel_out, static_cast<unsigned long long>(resources.total.dsps),
+      performance.value().gflops(), hw_net.hw.target_frequency_mhz);
   out << strings::format("topology: %zu layers, %zu joins, DAG depth %zu\n",
                          model.value().layer_count(),
                          model.value().join_count(), depth.value());

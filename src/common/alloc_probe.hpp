@@ -37,10 +37,9 @@ class AllocProbe {
 
   /// Suspends counting on the current thread for the lifetime of the
   /// object. Used around the few intentionally-allocating operations inside
-  /// an instrumented body — the thread-pool fork of the intra-layer compute
-  /// lanes (type-erased task plumbing owned by the pool, not module
-  /// scratch) — so the probe measures exactly the module's own steady-state
-  /// promise. Nestable.
+  /// an instrumented body — the output tensors that escape to the caller,
+  /// not module scratch — so the probe measures exactly the module's own
+  /// steady-state promise. Nestable.
   class Pause {
    public:
     Pause() noexcept { ++paused(); }

@@ -19,9 +19,7 @@ namespace condor {
 /// variable when set to a positive integer, otherwise
 /// `hardware_concurrency()` (at least 1). Read once and cached — the
 /// override exists so deployments can bound total worker growth when many
-/// executor instances share one host (each instance's *correctness* floor,
-/// one worker per KPN module, is never subject to the budget; only the
-/// perf-optional lane headroom is).
+/// executor instances share one host.
 std::size_t thread_budget() noexcept;
 
 class ThreadPool {
@@ -55,8 +53,8 @@ class ThreadPool {
   /// is busy (e.g. pinned on blocked dataflow modules) the caller simply
   /// runs all shards itself — helpers that arrive late find the counter
   /// exhausted and return. Completion is tracked by a call-local latch, not
-  /// the pool-global idle state. Used for intra-module compute lanes
-  /// (parallel_out) and reference-engine output-channel sharding.
+  /// the pool-global idle state. Used for reference-engine output-channel
+  /// sharding.
   void parallel_shards(std::size_t count,
                        const std::function<void(std::size_t)>& fn);
 

@@ -168,13 +168,6 @@ Status AcceleratorExecutor::build_design() {
       design->weight_streams.push_back(weight_stream);
     }
 
-    // Intra-layer parallelism (paper §3.2): the plan's parallel_out degree
-    // becomes that many compute lanes fork-joined on the executor's
-    // persistent pool; extra_lane_workers tracks how many workers beyond
-    // one-per-module those lanes can occupy concurrently.
-    const std::size_t parallel_out = std::max<std::size_t>(pe.parallel_out, 1);
-    design->extra_lane_workers += parallel_out - 1;
-
     if (pe.kind == hw::PeKind::kJoin) {
       // Two-input merge point: no memory subsystem, no weights — the module
       // reads both operand edges directly (ports 0/1 in `inputs` order).
@@ -186,16 +179,18 @@ Status AcceleratorExecutor::build_design() {
 
     // Classifier and feature / element-wise PEs read their input blob
     // straight from the edge; the feature PE indexes its windows in the
-    // retained blob (dataflow/pe.hpp).
+    // retained blob. Every pass computes full-width: the plan's
+    // parallel_out is a hardware degree only (dataflow/pe.hpp).
     if (pe.kind == hw::PeKind::kClassifier) {
-      graph.add_module<ClassifierPeModule>(
-          pe.name, program, external_in, weight_stream,
-          std::move(out_edges_of[p]), parallel_out, runtime_pool(), data_type);
+      graph.add_module<ClassifierPeModule>(pe.name, program, external_in,
+                                           weight_stream,
+                                           std::move(out_edges_of[p]),
+                                           data_type);
       continue;
     }
-    graph.add_module<FeaturePeModule>(
-        pe.name, program, external_in, weight_stream,
-        std::move(out_edges_of[p]), parallel_out, runtime_pool(), data_type);
+    graph.add_module<FeaturePeModule>(pe.name, program, external_in,
+                                      weight_stream, std::move(out_edges_of[p]),
+                                      data_type);
   }
 
   // Datamover halves. The output blob shape the sink collects: the sink
@@ -232,8 +227,6 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
     }
   }
 
-  // The pool must exist before the design: PE modules capture it for their
-  // parallel_out compute lanes.
   if (shared_pool_ == nullptr && pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(1);
   }
@@ -247,24 +240,15 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   GraphRunOptions options;
   options.workers = scheduler_workers_;
 
-  // Size the pool for the scheduler plus headroom for the intra-layer
-  // compute lanes, so forked oc slices actually run concurrently instead of
-  // queueing behind module firings. The headroom is a pure throughput lever
-  // capped by the host thread budget (CONDOR_THREADS or
-  // hardware_concurrency) — parallel_shards' caller participation keeps the
-  // lanes correct at any headroom, including zero.
-  const std::size_t lane_headroom =
-      std::min(design_->extra_lane_workers, thread_budget());
+  // The pool is sized for the scheduler only: it needs W workers of which
+  // one is the calling thread, and never has to scale with module_count().
   const std::size_t modules = design_->graph.module_count();
-  // The scheduler needs W workers of which one is the calling thread; the
-  // pool never has to scale with module_count().
   const std::size_t target = options.workers > 0
                                  ? options.workers
                                  : thread_budget();
   const std::size_t coop_workers =
       std::clamp<std::size_t>(target, 1, std::max<std::size_t>(modules, 1));
-  pool->ensure_workers(std::max<std::size_t>(
-      1, coop_workers - 1 + lane_headroom));
+  pool->ensure_workers(std::max<std::size_t>(1, coop_workers - 1));
 
   design_->telemetry.reset();
   RunContext ctx;

@@ -119,9 +119,6 @@ class AcceleratorExecutor {
     Graph graph;
     OutputMoverModule* sink = nullptr;
     Shape output_shape;
-    /// Workers the parallel_out compute lanes may occupy beyond the
-    /// one-per-module baseline (sum of parallel_out - 1 over the PEs).
-    std::size_t extra_lane_workers = 0;
     /// RunStats::fused_local_passes of every run of this design.
     std::size_t fused_local_passes = 0;
     /// The weight streams of the design, for per-run traffic accounting

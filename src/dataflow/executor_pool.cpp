@@ -101,8 +101,7 @@ Result<ExecutorPool> ExecutorPool::create(
   ExecutorPool pool(std::move(plan), std::move(weights));
   // All replicas run on one host-sized pool: the cooperative scheduler
   // needs no per-module worker floor, so worker demand is a property of
-  // the machine, not of instances * module_count. The lane-worker cap is
-  // likewise the whole budget — lanes from every replica share the same
+  // the machine, not of instances * module_count. Replicas share the same
   // workers instead of carving the budget into per-instance slices.
   pool.shared_pool_ =
       std::make_unique<ThreadPool>(std::max<std::size_t>(1, thread_budget()));

@@ -114,7 +114,12 @@ class FrameArena {
         return static_cast<char*>(static_cast<void*>(header)) + sizeof(Header);
       }
     }
-    void* base = std::malloc(sizeof(Header) + bytes);
+    // Each frame owns whole cache lines: modules fire concurrently on
+    // different workers, and a frame one worker writes must not share a
+    // line with another module's frame (false sharing).
+    const std::size_t span = (sizeof(Header) + bytes + detail::kCacheLine - 1) /
+                             detail::kCacheLine * detail::kCacheLine;
+    void* base = std::aligned_alloc(detail::kCacheLine, span);
     if (base == nullptr) {
       std::abort();  // frame allocation failure is not recoverable
     }

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/alloc_probe.hpp"
 #include "nn/kernels.hpp"
 #include "nn/layer.hpp"
 
@@ -37,60 +36,21 @@ void codes_from_floats(std::span<const float> words,
   }
 }
 
-/// Executes fn(lane) for each of `lanes` compute lanes: inline when there is
-/// a single lane or no pool, fork-joined on the pool otherwise
-/// (parallel_shards is safe to call from inside a module task). Templated on
-/// the callable so the inline single-lane path never materializes a
-/// std::function (which would heap-allocate per pass); only the actual
-/// fork-join submission pays that cost.
-template <typename Fn>
-void run_lanes(ThreadPool* pool, std::size_t lanes, const Fn& fn) {
-  if (lanes <= 1 || pool == nullptr) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      fn(lane);
-    }
-    return;
-  }
-  // The fork itself heap-allocates (type-erased tasks + shared join state
-  // owned by the pool) — pool plumbing, not module scratch, so it is
-  // excluded from the steady-state allocation probe. The lane bodies run
-  // on worker threads outside the probed scope either way.
-  const common::AllocProbe::Pause pause;
-  pool->parallel_shards(lanes, fn);
-}
-
-/// Contiguous output-channel slice [begin, end) owned by `lane` out of
-/// `lanes` over `total` channels (ceil-chunked, robust to non-divisors and
-/// lanes > total).
-struct OcSlice {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  [[nodiscard]] std::size_t width() const noexcept { return end - begin; }
-};
-
-OcSlice oc_slice(std::size_t total, std::size_t lanes, std::size_t lane) {
-  const std::size_t chunk = (total + lanes - 1) / lanes;
-  const std::size_t begin = std::min(total, lane * chunk);
-  return {begin, std::min(total, begin + chunk)};
-}
-
-/// Accumulates every input channel of a convolution pass into one lane's
-/// point-major tile `acc` (oc slice `slice`), indexing the padded `frame`
-/// in place with the golden reference's tap arithmetic: tap (ky, kx) of
-/// output row oy starts at (oy*stride + ky)*in_w + kx, and consecutive
-/// output columns are `stride` apart. Channels walk in ascending order, so
-/// each output element's chain is its seed, then ic-major (ky, kx) adds.
-/// `taps` is the lane's tap_count-entry pointer scratch.
+/// Accumulates every input channel of a convolution pass into the
+/// point-major tile `acc` (all out_channels per map point), indexing the
+/// padded `frame` in place with the golden reference's tap arithmetic: tap
+/// (ky, kx) of output row oy starts at (oy*stride + ky)*in_w + kx, and
+/// consecutive output columns are `stride` apart. Channels walk in
+/// ascending order, so each output element's chain is its seed, then
+/// ic-major (ky, kx) adds. `taps` is tap_count-entry pointer scratch.
 template <typename T, typename Acc>
-void accumulate_conv_slice(const LayerPass& pass, const T* frame,
-                           const T* packed, OcSlice slice, Acc* acc,
-                           const T** taps) {
+void accumulate_conv(const LayerPass& pass, const T* frame, const T* packed,
+                     Acc* acc, const T** taps) {
   const std::size_t tap_count = pass.window_h * pass.window_w;
   const std::size_t channel_size = pass.in_h * pass.in_w;
   for (std::size_t ic = 0; ic < pass.in_channels; ++ic) {
     const T* channel = frame + ic * channel_size;
-    const T* packed_ic =
-        packed + ic * tap_count * pass.out_channels + slice.begin;
+    const T* packed_ic = packed + ic * tap_count * pass.out_channels;
     for (std::size_t oy = 0; oy < pass.out_h; ++oy) {
       for (std::size_t ky = 0; ky < pass.window_h; ++ky) {
         for (std::size_t kx = 0; kx < pass.window_w; ++kx) {
@@ -99,8 +59,9 @@ void accumulate_conv_slice(const LayerPass& pass, const T* frame,
         }
       }
       nn::kernels::conv_accumulate_row(
-          acc + oy * pass.out_w * slice.width(), slice.width(), pass.out_w,
-          taps, tap_count, pass.stride, packed_ic, pass.out_channels);
+          acc + oy * pass.out_w * pass.out_channels, pass.out_channels,
+          pass.out_w, taps, tap_count, pass.stride, packed_ic,
+          pass.out_channels);
     }
   }
 }
@@ -248,48 +209,27 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
       const PassWeightCache& cache = weight_cache_[pass_index];
       const float* frame = padded_frame(pass).data();
 
-      // parallel_out compute lanes, forked once per pass, each owning a
-      // disjoint oc slice with a point-major accumulator tile seeded with
-      // the bias. Per output element the accumulation chain (bias, then
-      // ic-major (ky, kx) adds) is byte-identical to the single-lane
-      // schedule.
-      const std::size_t compute_lanes =
-          std::clamp<std::size_t>(parallel_out_, 1, std::max<std::size_t>(oc_total, 1));
-      if (lane_acc_.size() < compute_lanes) {
-        lane_acc_.resize(compute_lanes);
+      // One point-major accumulator tile over every output channel, seeded
+      // with the bias: per output element the chain is the bias, then
+      // ic-major (ky, kx) adds.
+      acc_.resize(map_points * oc_total);
+      taps_.resize(pass.window_h * pass.window_w);
+      for (std::size_t point = 0; point < map_points; ++point) {
+        for (std::size_t oc = 0; oc < oc_total; ++oc) {
+          acc_[point * oc_total + oc] = pass.has_bias ? cache.bias[oc] : 0.0F;
+        }
       }
-      if (lane_taps_.size() < compute_lanes) {
-        lane_taps_.resize(compute_lanes);
-      }
-      for (std::size_t lane = 0; lane < compute_lanes; ++lane) {
-        const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-        lane_acc_[lane].resize(map_points * slice.width());
-        lane_taps_[lane].resize(pass.window_h * pass.window_w);
-      }
+      accumulate_conv(pass, frame, cache.packed.data(), acc_.data(),
+                      taps_.data());
+      // Activation + transpose into the (oc, oy, ox) emission order.
       out_blob_.resize(oc_total * map_points);
-      run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-        const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-        float* acc = lane_acc_[lane].data();
+      for (std::size_t oc = 0; oc < oc_total; ++oc) {
+        float* out_map = out_blob_.data() + oc * map_points;
         for (std::size_t point = 0; point < map_points; ++point) {
-          for (std::size_t j = 0; j < slice.width(); ++j) {
-            acc[point * slice.width() + j] =
-                pass.has_bias ? cache.bias[slice.begin + j] : 0.0F;
-          }
+          out_map[point] = nn::apply_activation(
+              pass.activation, acc_[point * oc_total + oc]);
         }
-        if (slice.width() > 0) {
-          accumulate_conv_slice(pass, frame, cache.packed.data(), slice, acc,
-                                lane_taps_[lane].data());
-        }
-        // Activation + transpose into the (oc, oy, ox) emission order; each
-        // lane writes its disjoint contiguous output block.
-        for (std::size_t j = 0; j < slice.width(); ++j) {
-          float* out_map = out_blob_.data() + (slice.begin + j) * map_points;
-          for (std::size_t point = 0; point < map_points; ++point) {
-            out_map[point] = nn::apply_activation(
-                pass.activation, acc[point * slice.width() + j]);
-          }
-        }
-      });
+      }
       co_return co_await write_blob(sink, out_blob_, name());
     }
 
@@ -405,61 +345,38 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
   // zeros included.
   codes_from_floats(padded_frame(pass), frame_codes_);
 
-  // Same lane decomposition as the float path: disjoint oc slices with
-  // integer accumulator tiles, forked once per pass. Integer accumulation
-  // is exact, so the lane count cannot perturb any sum.
-  const std::size_t compute_lanes = std::clamp<std::size_t>(
-      parallel_out_, 1, std::max<std::size_t>(oc_total, 1));
-  std::vector<std::vector<Acc>>& lane_acc = fixed_lane_acc<Acc>();
-  if (lane_acc.size() < compute_lanes) {
-    lane_acc.resize(compute_lanes);
+  // Integer accumulator tile over every output channel, as in the float
+  // path. The accumulator scale follows the image's input format, so each
+  // output channel's bias realigns once per pass and then seeds every map
+  // point of that channel.
+  std::vector<Acc>& acc = fixed_acc<Acc>();
+  acc.resize(map_points * oc_total);
+  taps_fixed_.resize(pass.window_h * pass.window_w);
+  for (std::size_t oc = 0; oc < oc_total; ++oc) {
+    const Acc seed = pass.has_bias
+                         ? static_cast<Acc>(nn::realign_code(
+                               cache.bias_codes[oc], cache.bias_frac, acc_frac))
+                         : Acc{0};
+    for (std::size_t point = 0; point < map_points; ++point) {
+      acc[point * oc_total + oc] = seed;
+    }
   }
-  if (lane_taps_fixed_.size() < compute_lanes) {
-    lane_taps_fixed_.resize(compute_lanes);
-  }
-  for (std::size_t lane = 0; lane < compute_lanes; ++lane) {
-    const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-    lane_acc[lane].resize(map_points * slice.width());
-    lane_taps_fixed_[lane].resize(pass.window_h * pass.window_w);
-  }
+  accumulate_conv(pass, frame_codes_.data(), cache.packed_codes.data(),
+                  acc.data(), taps_fixed_.data());
+  // Dequantize + activate into the (oc, oy, ox) emission order.
   out_blob_.resize(oc_total * map_points);
-  run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-    const OcSlice slice = oc_slice(oc_total, compute_lanes, lane);
-    Acc* acc = lane_acc[lane].data();
-    // The accumulator scale follows the image's input format, so each
-    // output channel's bias realigns once per pass and then seeds every
-    // map point of that channel.
-    for (std::size_t j = 0; j < slice.width(); ++j) {
-      const Acc seed =
-          pass.has_bias
-              ? static_cast<Acc>(nn::realign_code(
-                    cache.bias_codes[slice.begin + j], cache.bias_frac,
-                    acc_frac))
-              : Acc{0};
-      for (std::size_t point = 0; point < map_points; ++point) {
-        acc[point * slice.width() + j] = seed;
-      }
+  for (std::size_t oc = 0; oc < oc_total; ++oc) {
+    float* out_map = out_blob_.data() + oc * map_points;
+    for (std::size_t point = 0; point < map_points; ++point) {
+      out_map[point] = nn::apply_activation(
+          pass.activation,
+          nn::dequantize_code(
+              static_cast<std::int64_t>(acc[point * oc_total + oc]),
+              acc_frac));
     }
-    if (slice.width() > 0) {
-      accumulate_conv_slice(pass, frame_codes_.data(),
-                            cache.packed_codes.data(), slice, acc,
-                            lane_taps_fixed_[lane].data());
-    }
-    // Dequantize + activate into the (oc, oy, ox) emission order.
-    for (std::size_t j = 0; j < slice.width(); ++j) {
-      float* out_map = out_blob_.data() + (slice.begin + j) * map_points;
-      for (std::size_t point = 0; point < map_points; ++point) {
-        out_map[point] = nn::apply_activation(
-            pass.activation,
-            nn::dequantize_code(
-                static_cast<std::int64_t>(acc[point * slice.width() + j]),
-                acc_frac));
-      }
-    }
-  });
+  }
   // Requantize the full blob with a fresh dynamic format (the canonical
-  // layer-boundary step; the lanes have joined, so the format sees every
-  // value).
+  // layer-boundary step).
   co_return co_await emit_requantized(sink, out_blob_, bits, out_frac,
                                       emit_codes_, emit_blob_, name());
 }
@@ -628,27 +545,18 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
           const std::size_t in_count = pass.input_elements();
           const std::size_t out_count = pass.output_elements();
           const std::vector<float>& packed = packed_weights_[pi];
+          // Every neuron accumulates in place in next_: its chain is the
+          // bias, then ascending-h adds.
           next_.resize(out_count);
-          // parallel_out lanes over disjoint output-neuron slices; each
-          // neuron's chain (bias, then ascending-h adds) is unchanged.
-          const std::size_t compute_lanes = std::clamp<std::size_t>(
-              parallel_out_, 1, std::max<std::size_t>(out_count, 1));
-          run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-            const OcSlice slice = oc_slice(out_count, compute_lanes, lane);
-            if (slice.width() == 0) {
-              return;
-            }
-            float* acc = next_.data() + slice.begin;
-            for (std::size_t j = 0; j < slice.width(); ++j) {
-              acc[j] = pass.has_bias ? pass_bias_[pi][slice.begin + j] : 0.0F;
-            }
-            nn::kernels::inner_product_accumulate(
-                acc, slice.width(), current_.data(), in_count,
-                packed.data() + slice.begin, out_count);
-            for (std::size_t j = 0; j < slice.width(); ++j) {
-              acc[j] = nn::apply_activation(pass.activation, acc[j]);
-            }
-          });
+          for (std::size_t j = 0; j < out_count; ++j) {
+            next_[j] = pass.has_bias ? pass_bias_[pi][j] : 0.0F;
+          }
+          nn::kernels::inner_product_accumulate(next_.data(), out_count,
+                                                current_.data(), in_count,
+                                                packed.data(), out_count);
+          for (float& value : next_) {
+            value = nn::apply_activation(pass.activation, value);
+          }
           std::swap(current_, next_);
           break;
         }
@@ -700,12 +608,9 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
     resident_ready_ = true;
   }
 
-  // Per-lane accumulator scratch: sized once to the lane ceiling, the inner
-  // vectors keep their high-water capacity across passes and batches.
-  std::vector<std::vector<Acc>>& lane_acc = fixed_lane_acc<Acc>();
-  if (lane_acc.size() < parallel_out_) {
-    lane_acc.resize(parallel_out_);
-  }
+  // Accumulator scratch: keeps its high-water capacity across passes and
+  // batches.
+  std::vector<Acc>& acc = fixed_acc<Acc>();
 
   for (std::size_t image = 0; image < ctx.batch; ++image) {
     int frac = 0;
@@ -721,38 +626,25 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
           const std::size_t out_count = pass.output_elements();
           const FixedPassWeights& slot = resident_[pi];
           const int acc_frac = slot.weight_frac + frac;
+          // Integer sums over every neuron, then dequantize + activate; the
+          // blob-wide requantization follows the pass.
+          acc.resize(out_count);
+          for (std::size_t j = 0; j < out_count; ++j) {
+            acc[j] = pass.has_bias
+                         ? static_cast<Acc>(nn::realign_code(
+                               slot.bias_codes[j], slot.bias_frac, acc_frac))
+                         : Acc{0};
+          }
+          nn::kernels::inner_product_accumulate(acc.data(), out_count,
+                                                codes_.data(), in_count,
+                                                slot.packed.data(), out_count);
           values_.resize(out_count);
-          // Same disjoint output-neuron slices as the float path; the
-          // integer sums are exact so the lane count cannot change a code.
-          // Each lane dequantizes + activates its slice; the blob-wide
-          // requantization joins the lanes first.
-          const std::size_t compute_lanes = std::clamp<std::size_t>(
-              parallel_out_, 1, std::max<std::size_t>(out_count, 1));
-          run_lanes(lane_pool_, compute_lanes, [&](std::size_t lane) {
-            const OcSlice slice = oc_slice(out_count, compute_lanes, lane);
-            if (slice.width() == 0) {
-              return;
-            }
-            std::vector<Acc>& acc_tile = lane_acc[lane];
-            acc_tile.resize(slice.width());
-            Acc* const acc = acc_tile.data();
-            for (std::size_t j = 0; j < slice.width(); ++j) {
-              acc[j] = pass.has_bias
-                           ? static_cast<Acc>(nn::realign_code(
-                                 slot.bias_codes[slice.begin + j],
-                                 slot.bias_frac, acc_frac))
-                           : Acc{0};
-            }
-            nn::kernels::inner_product_accumulate(
-                acc, slice.width(), codes_.data(), in_count,
-                slot.packed.data() + slice.begin, out_count);
-            for (std::size_t j = 0; j < slice.width(); ++j) {
-              values_[slice.begin + j] = nn::apply_activation(
-                  pass.activation,
-                  nn::dequantize_code(static_cast<std::int64_t>(acc[j]),
-                                      acc_frac));
-            }
-          });
+          for (std::size_t j = 0; j < out_count; ++j) {
+            values_[j] = nn::apply_activation(
+                pass.activation,
+                nn::dequantize_code(static_cast<std::int64_t>(acc[j]),
+                                    acc_frac));
+          }
           break;
         }
         case PassKind::kElementwise: {

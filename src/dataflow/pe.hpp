@@ -18,24 +18,22 @@
 // reference bit-for-bit (input channel outer, window row, window column).
 //
 // Convolution passes run the packed OC-contiguous microkernel
-// (nn/kernels.hpp) over a per-pass weight repack, and honor the plan's
-// parallel_out degree — the paper's intra-layer spatial unfolding — by
-// partitioning the output-channel range across `parallel_out` compute
-// lanes fork-joined once per pass on the executor's worker pool. Every
-// lane owns a disjoint oc slice with its own accumulator tile, so each
-// output element's accumulation chain (bias seed, then ic-major adds) is
-// byte-identical at any lane count.
+// (nn/kernels.hpp) over a per-pass weight repack: one kernel call per
+// output row spans every output channel, the kernels' SIMD axis.
 //
-// The plan's parallel_in degree (replicated filter chains) is a hardware
-// degree only: the plan, the performance and resource models and HLS
-// codegen own it. No per-element accumulation chain depends on it, so the
-// executor's results are the same at any degree.
+// The plan's parallel_out (the paper's intra-layer unfolding over output
+// maps) and parallel_in (replicated filter chains) degrees are hardware
+// degrees only: the plan, the performance and resource models, the DSE
+// and HLS codegen own them. Each pass computes full-width on the module's
+// own thread whatever the degrees. No per-element accumulation chain
+// depends on either, so the executor's results and host work are the same
+// at any degree.
 //
 // ClassifierPeModule implements fully-connected layers as single-input/
 // single-output 1x1-convolution PEs (paper §3.3 step 4): no memory
 // subsystem, weights resident on chip (repacked once per batch into the
 // transposed GEMV layout), one multiply-accumulate stream over the
-// flattened input; parallel_out partitions the output neurons the same way.
+// flattened input into every output neuron at once.
 //
 // Fixed-point datapath (plan data_type fixed16/fixed8, see nn/numeric.hpp):
 // blob streams carry integer codes stored in float words (|code| < 2^15 is
@@ -50,7 +48,7 @@
 // pass boundary — bit-exact against nn::QuantizedEngine by construction.
 //
 // Zero-allocation steady state: every per-image buffer (retained blobs,
-// padded frame, accumulator tiles, dequantize/requantize scratch) is a module member
+// padded frame, accumulator tile, dequantize/requantize scratch) is a module member
 // that persists across images AND across run_batch calls (the executor's
 // compiled design owns the modules for its whole life). Buffers resize to
 // each pass's needs; once a warmup batch has grown them to their high-water
@@ -74,7 +72,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "dataflow/fifo.hpp"
 #include "dataflow/frame.hpp"
 #include "dataflow/module.hpp"
@@ -89,16 +86,11 @@ class FeaturePeModule final : public Module {
   /// (unpadded, (c, y, x) order). `weights` (nullable when no pass carries
   /// parameters) delivers the one-time weight load from the datamover
   /// (latched resident on first receipt); `out` lists the PE's out-edges.
-  /// `parallel_out` compute lanes split each convolution pass's output
-  /// channels across `lane_pool` (nullable for sequential execution).
   FeaturePeModule(std::string name, const PeProgram& program, Stream& in,
-                  Stream* weights, OutEdges out, std::size_t parallel_out = 1,
-                  ThreadPool* lane_pool = nullptr,
+                  Stream* weights, OutEdges out,
                   nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
-        parallel_out_(parallel_out == 0 ? 1 : parallel_out),
-        lane_pool_(lane_pool),
         data_type_(data_type),
         in_(in),
         weights_(weights),
@@ -163,39 +155,34 @@ class FeaturePeModule final : public Module {
   /// quantize + repack).
   void derive_pass_cache(std::size_t pass_index, const LayerPass& pass);
 
-  /// The per-lane accumulator tiles of the fixed conv path, selected by the
-  /// widened accumulator type.
+  /// The accumulator tile of the fixed conv path, selected by the widened
+  /// accumulator type.
   template <typename Acc>
-  std::vector<std::vector<Acc>>& fixed_lane_acc() noexcept {
+  std::vector<Acc>& fixed_acc() noexcept {
     if constexpr (std::is_same_v<Acc, std::int64_t>) {
-      return lane_acc64_;
+      return acc64_;
     } else {
-      return lane_acc32_;
+      return acc32_;
     }
   }
 
   const PeProgram& program_;
-  std::size_t parallel_out_;
-  ThreadPool* lane_pool_;
   nn::DataType data_type_;
   Stream& in_;
   Stream* weights_;
   OutEdges out_;
 
   // --- steady-state scratch arena (see the header comment) ---------------
-  // The outer per-lane vectors are sized once to parallel_out_ and never
-  // shrink, so the inner tiles keep their high-water capacity even when a
-  // pass clamps its compute-lane count below parallel_out_.
   std::vector<PassWeightCache> weight_cache_;  ///< one slot per pass
   std::vector<float> weight_buffer_;           ///< raw stream drain
   std::vector<float> bias_buffer_;
   std::vector<float> padded_;                  ///< padded frame (pad > 0)
   std::vector<std::int32_t> frame_codes_;      ///< fixed: frame as codes
-  std::vector<std::vector<float>> lane_acc_;   ///< float conv acc tiles
-  std::vector<std::vector<std::int64_t>> lane_acc64_;  ///< fixed16 tiles
-  std::vector<std::vector<std::int32_t>> lane_acc32_;  ///< fixed8 tiles
-  std::vector<std::vector<const float*>> lane_taps_;
-  std::vector<std::vector<const std::int32_t*>> lane_taps_fixed_;
+  std::vector<float> acc_;                     ///< float conv acc tile
+  std::vector<std::int64_t> acc64_;            ///< fixed16 conv acc tile
+  std::vector<std::int32_t> acc32_;            ///< fixed8 conv acc tile
+  std::vector<const float*> taps_;             ///< float tap pointers
+  std::vector<const std::int32_t*> taps_fixed_;
   std::vector<float> out_blob_;                ///< activated output / values
   std::vector<float> map_;
   std::vector<std::int32_t> emit_codes_;       ///< requantize scratch
@@ -217,13 +204,10 @@ class ClassifierPeModule final : public Module {
   /// the stream is drained once per compiled design). `out` lists the PE's
   /// out-edges.
   ClassifierPeModule(std::string name, const PeProgram& program, Stream& in,
-                     Stream* weights, OutEdges out, std::size_t parallel_out = 1,
-                     ThreadPool* lane_pool = nullptr,
+                     Stream* weights, OutEdges out,
                      nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
-        parallel_out_(parallel_out == 0 ? 1 : parallel_out),
-        lane_pool_(lane_pool),
         data_type_(data_type),
         in_(in),
         weights_(weights),
@@ -246,20 +230,18 @@ class ClassifierPeModule final : public Module {
     int bias_frac = 0;
   };
 
-  /// Per-lane accumulator scratch of the fixed path, selected by the
-  /// widened accumulator type.
+  /// Accumulator scratch of the fixed path, selected by the widened
+  /// accumulator type.
   template <typename Acc>
-  std::vector<std::vector<Acc>>& fixed_lane_acc() noexcept {
+  std::vector<Acc>& fixed_acc() noexcept {
     if constexpr (std::is_same_v<Acc, std::int64_t>) {
-      return lane_acc64_;
+      return acc64_;
     } else {
-      return lane_acc32_;
+      return acc32_;
     }
   }
 
   const PeProgram& program_;
-  std::size_t parallel_out_;
-  ThreadPool* lane_pool_;
   nn::DataType data_type_;
   Stream& in_;
   Stream* weights_;
@@ -279,8 +261,8 @@ class ClassifierPeModule final : public Module {
   std::vector<std::int32_t> codes_;                 ///< fixed: current blob
   std::vector<float> values_;
   std::vector<std::int32_t> wcodes_;
-  std::vector<std::vector<std::int64_t>> lane_acc64_;
-  std::vector<std::vector<std::int32_t>> lane_acc32_;
+  std::vector<std::int64_t> acc64_;
+  std::vector<std::int32_t> acc32_;
 };
 
 }  // namespace condor::dataflow

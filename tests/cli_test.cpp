@@ -197,6 +197,41 @@ TEST(Cli, ValidatePrintsTopologySummary) {
   EXPECT_NE(dag.out.find("DAG depth"), std::string::npos) << dag.out;
 }
 
+TEST(Cli, ValidateParallelOutIsAPlanDegree) {
+  // --parallel-out sets the plan's unroll degree, which the resource and
+  // performance models price; the host runs no lanes for it. Help and
+  // output both say so, and the modeled price rises with the degree.
+  const CliRun usage = run({});
+  EXPECT_NE(usage.err.find("D sets the plan's unroll degree"),
+            std::string::npos)
+      << usage.err;
+  EXPECT_NE(usage.err.find("(no host"), std::string::npos) << usage.err;
+  const auto modeled_dsps = [](const std::string& out) {
+    const std::string prefix = "priced by the models at ";
+    const std::size_t at = out.find(prefix);
+    return at == std::string::npos ? 0UL
+                                   : std::stoul(out.substr(at + prefix.size()));
+  };
+  const CliRun one =
+      run({"validate", "--model", "lenet", "--batch", "1"});
+  const CliRun four = run(
+      {"validate", "--model", "lenet", "--batch", "1", "--parallel-out", "4"});
+  for (const CliRun* result : {&one, &four}) {
+    EXPECT_EQ(result->exit_code, 0) << result->err;
+    EXPECT_NE(result->out.find("bit-exact PASS"), std::string::npos);
+    EXPECT_NE(result->out.find("sets the plan's unroll degree"),
+              std::string::npos)
+        << result->out;
+    EXPECT_NE(result->out.find("no host lanes"), std::string::npos)
+        << result->out;
+  }
+  EXPECT_NE(four.out.find("unroll: parallel_out=4"), std::string::npos)
+      << four.out;
+  EXPECT_GT(modeled_dsps(one.out), 0UL) << one.out;
+  EXPECT_GT(modeled_dsps(four.out), modeled_dsps(one.out))
+      << "the models should price a wider unroll";
+}
+
 TEST(Cli, ValidateFixedLeNet) {
   const CliRun result = run(
       {"validate", "--model", "lenet", "--batch", "1", "--data-type", "fixed16"});

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <tuple>
 
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
 #include "hw/accel_plan.hpp"
@@ -322,6 +324,110 @@ TEST_P(DataflowWiring, OneStreamPerPlanEdge) {
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndDatapaths, DataflowWiring,
     ::testing::Combine(::testing::Values("lenet", "lenet_skip", "tiny_resnet"),
+                       ::testing::Values(nn::DataType::kFloat32,
+                                         nn::DataType::kFixed16,
+                                         nn::DataType::kFixed8)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_" +
+             std::string(nn::to_string(std::get<1>(info.param)));
+    });
+
+/// Host work of one warm batch at one scheduler worker: the scheduler and
+/// FIFO counters summed over the design, and the size of the pool it ran on.
+struct HostWork {
+  std::uint64_t fires = 0;
+  std::uint64_t suspensions = 0;
+  std::uint64_t blocked_reads = 0;
+  std::uint64_t blocked_writes = 0;
+  std::uint64_t fifo_writes = 0;
+  std::size_t pool_workers = 0;
+  bool operator==(const HostWork&) const = default;
+};
+
+class HostWorkAcrossDegrees
+    : public ::testing::TestWithParam<std::tuple<const char*, nn::DataType>> {};
+
+TEST_P(HostWorkAcrossDegrees, ParallelOutIsAPlanDegreeOnly) {
+  // parallel_out is the plan's unroll degree: the resource and performance
+  // models, the DSE and HLS codegen price it, and the executor computes
+  // every pass full-width whatever its value. So at one scheduler worker a
+  // warm batch fires, suspends and writes exactly as often at every degree,
+  // and the shared pool it runs on is sized for the scheduler alone (it
+  // does not grow with the degree). Outputs stay byte-identical.
+  const auto [model_name, data_type] = GetParam();
+  auto network = nn::make_model(model_name);
+  ASSERT_TRUE(network.is_ok());
+  auto shapes = network.value().infer_shapes();
+  ASSERT_TRUE(shapes.is_ok());
+  auto weights = nn::initialize_weights(network.value(), 23);
+  ASSERT_TRUE(weights.is_ok());
+  const auto inputs = testing::random_inputs(network.value(), 4, 29);
+
+  const auto run_at = [&](std::size_t degree,
+                          std::vector<Tensor>& outputs) -> HostWork {
+    hw::HwNetwork hw_net = hw::with_default_annotations(network.value());
+    hw_net.hw.data_type = data_type;
+    for (std::size_t i = 1; i < hw_net.hw.layers.size(); ++i) {
+      hw_net.hw.layers[i].parallel_out =
+          std::min<std::size_t>(degree, shapes.value()[i].output[0]);
+    }
+    auto plan = hw::plan_accelerator(hw_net);
+    EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+    auto executor =
+        dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
+    EXPECT_TRUE(executor.is_ok());
+    ThreadPool pool(1);
+    executor.value().set_shared_pool(&pool);
+    executor.value().set_scheduler_workers(1);
+    // The cold run loads the resident weights; the warm run is counted.
+    EXPECT_TRUE(executor.value().run_batch(inputs).is_ok());
+    auto warm = executor.value().run_batch(inputs);
+    EXPECT_TRUE(warm.is_ok()) << warm.status().to_string();
+    outputs = std::move(warm).value();
+    const dataflow::RunStats& stats = executor.value().last_run_stats();
+    EXPECT_EQ(stats.workers, 1u);
+    HostWork work;
+    for (const dataflow::ModuleRunStats& module : stats.module_stats) {
+      work.fires += module.fires;
+      work.suspensions += module.blocked;
+    }
+    for (const dataflow::FifoStats& stream : stats.stream_stats) {
+      work.blocked_reads += stream.blocked_reads;
+      work.blocked_writes += stream.blocked_writes;
+      work.fifo_writes += stream.total_writes;
+    }
+    work.pool_workers = pool.worker_count();
+    return work;
+  };
+
+  std::vector<Tensor> baseline_outputs;
+  const HostWork baseline = run_at(1, baseline_outputs);
+  ASSERT_EQ(baseline_outputs.size(), inputs.size());
+  EXPECT_GT(baseline.fires, 0u);
+  EXPECT_EQ(baseline.pool_workers, 1u);
+  for (const std::size_t degree : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("parallel_out = " + std::to_string(degree));
+    std::vector<Tensor> outputs;
+    const HostWork work = run_at(degree, outputs);
+    // Same batch at every degree, so equal totals are equal per-image counts.
+    EXPECT_EQ(work.fires, baseline.fires);
+    EXPECT_EQ(work.suspensions, baseline.suspensions);
+    EXPECT_EQ(work.blocked_reads, baseline.blocked_reads);
+    EXPECT_EQ(work.blocked_writes, baseline.blocked_writes);
+    EXPECT_EQ(work.fifo_writes, baseline.fifo_writes);
+    EXPECT_EQ(work.pool_workers, baseline.pool_workers)
+        << "the pool grew with the unroll degree";
+    ASSERT_EQ(outputs.size(), baseline_outputs.size());
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      EXPECT_EQ(max_abs_diff(outputs[i], baseline_outputs[i]), 0.0F)
+          << "image " << i << " diverges from parallel_out = 1";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndDatapaths, HostWorkAcrossDegrees,
+    ::testing::Combine(::testing::Values("lenet", "tiny_resnet"),
                        ::testing::Values(nn::DataType::kFloat32,
                                          nn::DataType::kFixed16,
                                          nn::DataType::kFixed8)),

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "dataflow/executor.hpp"
@@ -63,20 +65,40 @@ TEST(DispatchChunks, RejectsZeroWorkersOrChunk) {
   EXPECT_FALSE(dispatch_chunks(8, 2, 0, noop).is_ok());
 }
 
+/// Counts `latch` down when the thread that owns this object exits.
+struct CountDownAtThreadExit {
+  std::latch* latch = nullptr;
+  ~CountDownAtThreadExit() {
+    if (latch != nullptr) {
+      latch->count_down();
+    }
+  }
+};
+
 TEST(DispatchChunks, FirstErrorPoisonsTheQueue) {
+  // Deterministic at any interleaving: the driver thread fails its first
+  // chunk, and every chunk the calling thread runs is held on a latch until
+  // that driver thread has exited. The driver poisons the queue before it
+  // exits, so the calling thread finishes the chunk it holds and takes no
+  // other.
   constexpr std::size_t kBatch = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch driver_exited(1);
   std::atomic<std::size_t> chunks_run{0};
   const Status status = dispatch_chunks(
       kBatch, /*workers=*/2, /*chunk_size=*/1,
-      [&](std::size_t, std::size_t begin, std::size_t) {
+      [&](std::size_t, std::size_t, std::size_t) {
         ++chunks_run;
-        if (begin == 0) {
-          return internal_error("chunk zero exploded");
+        if (std::this_thread::get_id() == caller) {
+          driver_exited.wait();
+          return Status::ok();
         }
-        return Status::ok();
+        thread_local CountDownAtThreadExit at_exit;
+        at_exit.latch = &driver_exited;
+        return internal_error("driver chunk exploded");
       });
   ASSERT_FALSE(status.is_ok());
-  EXPECT_EQ(status.message(), "chunk zero exploded");
+  EXPECT_EQ(status.message(), "driver chunk exploded");
   // The queue was poisoned: nowhere near the full batch was handed out
   // (in-flight chunks may still have drained).
   EXPECT_LT(chunks_run.load(), kBatch);

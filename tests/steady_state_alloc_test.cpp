@@ -1,4 +1,4 @@
-// Zero-allocation steady state (ISSUE 5 tentpole part B).
+// Zero-allocation steady state.
 //
 // The module bodies wrap each firing in an
 // common::AllocProbe::Scope; this binary overrides the global allocation
@@ -7,12 +7,16 @@
 // test: the first run_batch calls may allocate freely (scratch arenas grow
 // to their high-water marks, weight caches fill), but after warmup further
 // run_batch calls perform no per-image heap allocations in the module
-// bodies — for every datapath and at intra-layer parallel_out > 1.
+// bodies — for every datapath and at parallel_out > 1. The plan's
+// parallel_out is a hardware degree: every PE pass runs full-width on the
+// module's own thread, so the *ParallelLanes cases check the very same
+// bodies with nothing paused.
 //
-// Allocations outside the probed scopes (executor bookkeeping, output
-// tensor construction, ThreadPool task plumbing) are intentionally not
-// counted: the zero-allocation guarantee covers the streaming module
-// bodies, which is where per-image work happens.
+// Allocations outside the probed scopes (executor bookkeeping, ThreadPool
+// task plumbing) and the output tensors the output mover hands to the
+// caller (paused) are intentionally not counted: the zero-allocation
+// guarantee covers the streaming module bodies, which is where per-image
+// work happens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
