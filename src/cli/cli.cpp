@@ -571,7 +571,7 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
                          std::string(run_stats.simd_level).c_str(),
                          nn::kernels::cpu_feature_string().c_str());
   out << strings::format(
-      "weights streamed: %llu bytes (resident after the first run), "
+      "weights latched: %llu bytes (once per compiled design), "
       "images in flight (peak): %llu\n",
       static_cast<unsigned long long>(run_stats.weight_bytes_streamed),
       static_cast<unsigned long long>(run_stats.images_in_flight_hwm));

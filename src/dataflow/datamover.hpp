@@ -3,18 +3,17 @@
 // simulation the input half streams the batch's images from (simulated)
 // on-board memory into every PE that reads the network input (one frame
 // per image on each of those edges, in plan edge order), and the output
-// half collects result blobs. The weight half streams each PE's slices
-// exactly once per compiled design — the PE latches them (weight
-// residency, dataflow/pe.hpp) and every later image and every later
-// run_batch over the same design reuses the resident copy, so the warm
-// path is weight-traffic-free. PE programs hold references into the
-// WeightStore, which stands in for the weight regions of on-board memory;
-// a changed plan or weight store always recompiles the design, which
-// rebuilds the movers and re-arms the one-time load.
+// half collects result blobs. The datamover's third duty in the paper, the
+// one-time weight load, has no module here: the PE programs carry their
+// chip-resident weights, derived from the WeightStore (which stands in for
+// the weight regions of on-board memory) when the design compiles
+// (dataflow/program.hpp). HLS codegen (the gmem_weights port and each
+// PE's weight stream) and the resource and performance models own that
+// load.
 //
-// All three movers transfer whole blobs per FIFO call (burst writes /
-// reads): the datamover models a DMA engine, and blob-granular bursts are
-// what keep the host-side simulation off the suspend/wake slow path.
+// Both movers transfer whole blobs per FIFO call (burst writes / reads):
+// the datamover models a DMA engine, and blob-granular bursts are what
+// keep the host-side simulation off the suspend/wake slow path.
 //
 // The input and output halves also frame images for the run telemetry
 // (RunTelemetry): the source counts an image as injected once its frame is
@@ -36,7 +35,6 @@
 #include "dataflow/fifo.hpp"
 #include "dataflow/frame.hpp"
 #include "dataflow/module.hpp"
-#include "dataflow/program.hpp"
 #include "nn/numeric.hpp"
 #include "tensor/tensor.hpp"
 
@@ -82,45 +80,6 @@ class InputMoverModule final : public Module {
   // allocate nothing.
   std::vector<std::int32_t> codes_;
   std::vector<float> frame_;
-};
-
-/// Streams a PE's weights from (simulated) on-board memory, in canonical
-/// order: per weighted pass, the weight tensor row-major, then the bias.
-/// The load happens exactly once per compiled design — the receiving PE
-/// latches the slices (weight residency), so every later image of the first
-/// run and every subsequent warm run over the same design sees only a
-/// closed, empty weight stream. Residency is invalidated with the design
-/// itself: a new plan or weight store recompiles the graph, recreating this
-/// module with `sent_` cleared.
-class WeightMoverModule final : public Module {
- public:
-  WeightMoverModule(std::string name, const PeProgram& program, Stream& out)
-      : Module(std::move(name)), program_(program), out_(out) {}
-
-  Fire fire(const RunContext& ctx) override {
-    (void)ctx;
-    if (!sent_) {
-      for (const LayerPass& pass : program_.passes) {
-        if (pass.params == nullptr) {
-          continue;
-        }
-        CONDOR_CO_WRITE_BURST(
-            out_, pass.params->weights.data(),
-            internal_error("weight mover: output stream closed early"));
-        CONDOR_CO_WRITE_BURST(
-            out_, pass.params->bias.data(),
-            internal_error("weight mover: output stream closed early"));
-      }
-      sent_ = true;
-    }
-    out_.close();
-    co_return Status::ok();
-  }
-
- private:
-  const PeProgram& program_;
-  Stream& out_;
-  bool sent_ = false;  ///< one-time load latch; lives as long as the design
 };
 
 /// Collects `batch` output blobs of `output_shape` from the final stream.

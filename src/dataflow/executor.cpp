@@ -11,10 +11,6 @@
 namespace condor::dataflow {
 namespace {
 
-/// Capacity of the datamover weight streams. Weight slices transfer as
-/// bursts, so the depth only bounds the chunk size of each handoff.
-constexpr std::size_t kWeightFifoDepth = 1024;
-
 /// Minimum capacity of the inter-PE blob streams. The hardware plan sizes
 /// these edges for FPGA BRAM; the software KPN widens shallow ones so blob
 /// bursts move in few chunks and each module firing moves more data per
@@ -60,6 +56,7 @@ Status AcceleratorExecutor::build_design() {
     if (kind == hw::PeKind::kFeature || kind == hw::PeKind::kElementwise) {
       design->fused_local_passes += program.passes.size() - 1;
     }
+    design->weight_bytes += program.weight_elements() * sizeof(float);
     design->programs.push_back(std::move(program));
   }
   const std::vector<PeProgram>& programs = design->programs;
@@ -71,9 +68,9 @@ Status AcceleratorExecutor::build_design() {
       plan_->topology->input_shape().element_count();
 
   // One stream per plan edge — the plan's edge list IS the DAG, so the
-  // wiring below needs no linearity assumption — plus one weight stream per
-  // weighted PE, and nothing else. Each edge is sized to park one whole
-  // frame (the blob plus the fixed datapaths' header word, see
+  // wiring below needs no linearity assumption — and nothing else: the
+  // programs carry their resident weights. Each edge is sized to park one
+  // whole frame (the blob plus the fixed datapaths' header word, see
   // dataflow/frame.hpp) when that fits under kMaxPipelineEdgeDepth, so
   // consecutive images genuinely overlap: the producer parks image k's
   // whole output in the channel and moves on to image k+1 without waiting
@@ -156,18 +153,6 @@ Status AcceleratorExecutor::build_design() {
     }
     Stream& external_in = *edge_streams[in_ports.front()];
 
-    // Weight delivery from the datamover: every PE gets a one-time
-    // configuration load on the first run after compilation; it latches the
-    // packed slices and later images/runs skip the stream entirely
-    // (residency — see dataflow/pe.hpp).
-    Stream* weight_stream = nullptr;
-    if (program.weight_stream_elements() > 0) {
-      weight_stream = &graph.make_stream(kWeightFifoDepth, pe.name + "_weights");
-      graph.add_module<WeightMoverModule>(pe.name + "_weight_mover", program,
-                                          *weight_stream);
-      design->weight_streams.push_back(weight_stream);
-    }
-
     if (pe.kind == hw::PeKind::kJoin) {
       // Two-input merge point: no memory subsystem, no weights — the module
       // reads both operand edges directly (ports 0/1 in `inputs` order).
@@ -183,14 +168,12 @@ Status AcceleratorExecutor::build_design() {
     // parallel_out is a hardware degree only (dataflow/pe.hpp).
     if (pe.kind == hw::PeKind::kClassifier) {
       graph.add_module<ClassifierPeModule>(pe.name, program, external_in,
-                                           weight_stream,
                                            std::move(out_edges_of[p]),
                                            data_type);
       continue;
     }
     graph.add_module<FeaturePeModule>(pe.name, program, external_in,
-                                      weight_stream, std::move(out_edges_of[p]),
-                                      data_type);
+                                      std::move(out_edges_of[p]), data_type);
   }
 
   // Datamover halves. The output blob shape the sink collects: the sink
@@ -231,7 +214,8 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
     pool_ = std::make_unique<ThreadPool>(1);
   }
   ThreadPool* pool = runtime_pool();
-  if (design_ == nullptr) {
+  const bool compiled = design_ == nullptr;
+  if (compiled) {
     CONDOR_RETURN_IF_ERROR(build_design());
   } else {
     design_->graph.reopen_streams();
@@ -264,13 +248,9 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   stats_.scheduler = "coop";
   stats_.workers = design_->graph.last_run_workers();
   stats_.module_stats = design_->graph.module_stats();
-  stats_.weight_bytes_streamed = 0;
-  for (const Stream* stream : design_->weight_streams) {
-    // Per-run counters (reopen_streams resets them), so a warm run's total
-    // is its own traffic: zero once every PE holds its weights resident.
-    stats_.weight_bytes_streamed +=
-        stream->stats().total_writes * sizeof(float);
-  }
+  // The weights latch on chip when the design compiles, so only that run
+  // moves any; every warm run moves zero.
+  stats_.weight_bytes_streamed = compiled ? design_->weight_bytes : 0;
   stats_.images_in_flight_hwm =
       design_->telemetry.images_in_flight_hwm.load(std::memory_order_relaxed);
   stats_.fused_local_passes = design_->fused_local_passes;

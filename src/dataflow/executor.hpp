@@ -1,11 +1,11 @@
 // AcceleratorExecutor: functional execution of an accelerator plan.
 //
 // The first run_batch compiles the plan once into a CompiledDesign — the PE
-// programs, the spatial Kahn process network (datamover halves, weight
-// movers, one module per PE, the inter-PE streams) — and later
-// batches reuse it: streams are re-armed (Fifo::reopen) and the same graph
-// runs again on a persistent worker pool instead of re-wiring the design
-// and spawning one OS thread per module per batch. The design is
+// programs with their chip-resident weights, the spatial Kahn process
+// network (datamover halves, one module per PE, the inter-PE streams) — and
+// later batches reuse it: streams are re-armed (Fifo::reopen) and the same
+// graph runs again on a persistent worker pool instead of re-wiring the
+// design and spawning one OS thread per module per batch. The design is
 // batch-size independent (the batch arrives through the RunContext), so a
 // single compiled instance serves any input count.
 //
@@ -55,9 +55,9 @@ struct RunStats {
   /// the worker count it used (including the calling thread).
   std::string_view scheduler;
   std::size_t workers = 0;
-  /// Bytes the datamover pushed through the weight streams this run. The
-  /// first run after compilation streams every PE's slice exactly once;
-  /// warm runs report zero — the residency proof the tests assert on.
+  /// Weight bytes latched on chip by this run: every PE's canonical slice
+  /// total on the run that compiles the design, zero on every warm run —
+  /// the residency proof the tests assert on.
   std::uint64_t weight_bytes_streamed = 0;
   /// High-water mark of images simultaneously in flight between the input
   /// mover and the output collector (>= 2 proves consecutive images
@@ -121,9 +121,8 @@ class AcceleratorExecutor {
     Shape output_shape;
     /// RunStats::fused_local_passes of every run of this design.
     std::size_t fused_local_passes = 0;
-    /// The weight streams of the design, for per-run traffic accounting
-    /// (their FifoStats reset on reopen, so a warm run's writes are its own).
-    std::vector<const Stream*> weight_streams;
+    /// Weight bytes the programs latched on chip at compilation.
+    std::uint64_t weight_bytes = 0;
     /// Image-framing counters maintained by the datamover halves.
     RunTelemetry telemetry;
   };

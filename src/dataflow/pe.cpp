@@ -11,21 +11,6 @@
 namespace condor::dataflow {
 namespace {
 
-/// Drains `count` elements from a weight stream into `buffer`. A nested
-/// firing: the caller co_awaits it, so a dry stream suspends the whole
-/// module firing at this read.
-Fire read_weights(Stream* stream, std::size_t count, std::vector<float>& buffer,
-                  const std::string& pe_name) {
-  buffer.resize(count);
-  if (stream == nullptr) {
-    co_return internal_error("PE '" + pe_name + "': weight stream ended early");
-  }
-  CONDOR_CO_READ_EXACT(
-      *stream, std::span<float>(buffer),
-      internal_error("PE '" + pe_name + "': weight stream ended early"));
-  co_return Status::ok();
-}
-
 /// Casts a blob of code-carrying float words back to integer codes (codes
 /// fit 16 bits, so the float representation is exact).
 void codes_from_floats(std::span<const float> words,
@@ -70,12 +55,6 @@ void accumulate_conv(const LayerPass& pass, const T* frame, const T* packed,
 
 Fire FeaturePeModule::fire(const RunContext& ctx) {
   const bool fixed = nn::is_fixed_point(data_type_);
-  weight_cache_.resize(program_.passes.size());
-  // One-time weight latch (paper §3.2: the full set streams from on-board
-  // memory once, then stays chip-resident): the datamover's single load is
-  // drained and derived into the per-pass caches before the first image.
-  // Warm runs find every cache ready and skip the stream entirely.
-  CONDOR_CO_RETURN_IF_ERROR(co_await latch_resident_weights());
   for (std::size_t image = 0; image < ctx.batch; ++image) {
     // Pass 0's input blob, burst-read from the edge and retained like every
     // later pass's input. resize() below the high-water capacity never
@@ -95,13 +74,13 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
         sink.local = &fused_next_;
       }
       if (!fixed) {
-        CONDOR_CO_RETURN_IF_ERROR(co_await run_pass(pi, pass, sink));
+        CONDOR_CO_RETURN_IF_ERROR(co_await run_pass(pass, sink));
       } else {
         // Fused intermediate blobs keep their format PE-local; only the
         // last pass frames one.
         int out_frac = 0;
         CONDOR_CO_RETURN_IF_ERROR(
-            co_await run_pass_fixed(pi, pass, sink, frac, out_frac));
+            co_await run_pass_fixed(pass, sink, frac, out_frac));
         frac = out_frac;
       }
       if (sink.local != nullptr) {
@@ -111,52 +90,6 @@ Fire FeaturePeModule::fire(const RunContext& ctx) {
   }
   close_edges(out_);
   co_return Status::ok();
-}
-
-Fire FeaturePeModule::latch_resident_weights() {
-  for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
-    const LayerPass& pass = program_.passes[pi];
-    if (pass.params == nullptr || weight_cache_[pi].ready) {
-      continue;
-    }
-    // Fixed datapaths stream the same raw floats and quantize locally.
-    CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-        weights_, pass.params->weights.size(), weight_buffer_, name()));
-    CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-        weights_, pass.params->bias.size(), bias_buffer_, name()));
-    derive_pass_cache(pi, pass);
-  }
-  co_return Status::ok();
-}
-
-void FeaturePeModule::derive_pass_cache(std::size_t pass_index,
-                                        const LayerPass& pass) {
-  // The resident blocks are a pure function of the (immutable) pass
-  // parameters; output channel innermost so the MAC hot loop is contiguous.
-  PassWeightCache& cache = weight_cache_[pass_index];
-  if (!nn::is_fixed_point(data_type_)) {
-    cache.packed = nn::kernels::pack_conv_weights(
-        std::span<const float>(weight_buffer_), pass.out_channels,
-        pass.in_channels, pass.window_h, pass.window_w);
-    cache.bias = bias_buffer_;
-    cache.ready = true;
-    return;
-  }
-  // Quantize the raw slice exactly as the QuantizedEngine quantizes the
-  // layer's parameter blobs: one dynamic format over the full weight
-  // tensor, one over the bias — identical codes by construction.
-  const int bits = nn::total_bits(data_type_);
-  std::vector<std::int32_t> wcodes;
-  cache.weight_frac = nn::quantize_span(weight_buffer_, bits, wcodes).frac_bits;
-  cache.bias_frac = bits - 1;
-  if (pass.has_bias) {
-    cache.bias_frac =
-        nn::quantize_span(bias_buffer_, bits, cache.bias_codes).frac_bits;
-  }
-  cache.packed_codes = nn::kernels::pack_conv_weights<std::int32_t>(
-      wcodes, pass.out_channels, pass.in_channels, pass.window_h,
-      pass.window_w);
-  cache.ready = true;
 }
 
 std::span<const float> FeaturePeModule::padded_frame(const LayerPass& pass) {
@@ -198,15 +131,13 @@ void FeaturePeModule::gather_local_map(const LayerPass& pass,
   }
 }
 
-Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
-                               PassSink sink) {
+Fire FeaturePeModule::run_pass(const LayerPass& pass, PassSink sink) {
   switch (pass.kind) {
     case PassKind::kConvolution: {
       const std::size_t oc_total = pass.out_channels;
       const std::size_t map_points = pass.out_h * pass.out_w;
 
-      // Resident blocks, latched once per design (latch_resident_weights).
-      const PassWeightCache& cache = weight_cache_[pass_index];
+      const ResidentWeights& resident = pass.resident;
       const float* frame = padded_frame(pass).data();
 
       // One point-major accumulator tile over every output channel, seeded
@@ -216,10 +147,11 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
       taps_.resize(pass.window_h * pass.window_w);
       for (std::size_t point = 0; point < map_points; ++point) {
         for (std::size_t oc = 0; oc < oc_total; ++oc) {
-          acc_[point * oc_total + oc] = pass.has_bias ? cache.bias[oc] : 0.0F;
+          acc_[point * oc_total + oc] =
+              pass.has_bias ? resident.bias[oc] : 0.0F;
         }
       }
-      accumulate_conv(pass, frame, cache.packed.data(), acc_.data(),
+      accumulate_conv(pass, frame, resident.packed.data(), acc_.data(),
                       taps_.data());
       // Activation + transpose into the (oc, oy, ox) emission order.
       out_blob_.resize(oc_total * map_points);
@@ -327,18 +259,17 @@ Fire FeaturePeModule::run_pass(std::size_t pass_index, const LayerPass& pass,
 }
 
 template <typename Acc>
-Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
-                                          const LayerPass& pass, PassSink sink,
-                                          int in_frac, int& out_frac) {
+Fire FeaturePeModule::run_conv_pass_fixed(const LayerPass& pass,
+                                          PassSink sink, int in_frac,
+                                          int& out_frac) {
   const int bits = nn::total_bits(data_type_);
   const std::size_t oc_total = pass.out_channels;
   const std::size_t map_points = pass.out_h * pass.out_w;
 
-  // Resident quantized blocks, latched once per design from the one-time
-  // weight load (latch_resident_weights / derive_pass_cache): codes
-  // identical to the QuantizedEngine's parameter quantization.
-  const PassWeightCache& cache = weight_cache_[pass_index];
-  const int acc_frac = cache.weight_frac + in_frac;
+  // Resident quantized blocks: codes identical to the QuantizedEngine's
+  // parameter quantization (dataflow/program.hpp).
+  const ResidentWeights& resident = pass.resident;
+  const int acc_frac = resident.weight_frac + in_frac;
 
   // The retained blob carries codes in float words; the frame casts back to
   // integer codes once per pass (exact — see codes_from_floats), border
@@ -355,13 +286,14 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
   for (std::size_t oc = 0; oc < oc_total; ++oc) {
     const Acc seed = pass.has_bias
                          ? static_cast<Acc>(nn::realign_code(
-                               cache.bias_codes[oc], cache.bias_frac, acc_frac))
+                               resident.bias_codes[oc], resident.bias_frac,
+                               acc_frac))
                          : Acc{0};
     for (std::size_t point = 0; point < map_points; ++point) {
       acc[point * oc_total + oc] = seed;
     }
   }
-  accumulate_conv(pass, frame_codes_.data(), cache.packed_codes.data(),
+  accumulate_conv(pass, frame_codes_.data(), resident.packed_codes.data(),
                   acc.data(), taps_fixed_.data());
   // Dequantize + activate into the (oc, oy, ox) emission order.
   out_blob_.resize(oc_total * map_points);
@@ -381,8 +313,7 @@ Fire FeaturePeModule::run_conv_pass_fixed(std::size_t pass_index,
                                       emit_codes_, emit_blob_, name());
 }
 
-Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
-                                     const LayerPass& pass, PassSink sink,
+Fire FeaturePeModule::run_pass_fixed(const LayerPass& pass, PassSink sink,
                                      int in_frac, int& out_frac) {
   const int bits = nn::total_bits(data_type_);
 
@@ -392,11 +323,11 @@ Fire FeaturePeModule::run_pass_fixed(std::size_t pass_index,
       // transform mis-handles coroutine-returning prvalues inside ?: arms
       // (both arms get materialized and the taken frame is destroyed twice).
       if (data_type_ == nn::DataType::kFixed16) {
-        co_return co_await run_conv_pass_fixed<std::int64_t>(
-            pass_index, pass, sink, in_frac, out_frac);
+        co_return co_await run_conv_pass_fixed<std::int64_t>(pass, sink,
+                                                             in_frac, out_frac);
       }
-      co_return co_await run_conv_pass_fixed<std::int32_t>(
-          pass_index, pass, sink, in_frac, out_frac);
+      co_return co_await run_conv_pass_fixed<std::int32_t>(pass, sink, in_frac,
+                                                           out_frac);
 
     case PassKind::kPooling: {
       // Max pooling reduces over codes directly (dequantization is
@@ -506,30 +437,6 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
     }
     co_return co_await run_fixed<std::int32_t>(ctx);
   }
-  // One-time runtime configuration load: the datamover streams every
-  // pass's weights once per compiled design; they repack into the
-  // transposed (in, out) GEMV layout the microkernel wants and stay
-  // chip-resident for every image of every batch. Warm runs skip the
-  // (closed, empty) stream entirely.
-  if (!resident_ready_) {
-    packed_weights_.resize(program_.passes.size());
-    pass_bias_.resize(program_.passes.size());
-    for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
-      const LayerPass& pass = program_.passes[pi];
-      if (pass.params == nullptr) {
-        continue;
-      }
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-          weights_, pass.params->weights.size(), weight_buffer_, name()));
-      packed_weights_[pi] = nn::kernels::pack_inner_product_weights<float>(
-          weight_buffer_, pass.output_elements(), pass.input_elements());
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-          weights_, pass.params->bias.size(), weight_buffer_, name()));
-      pass_bias_[pi] = weight_buffer_;
-    }
-    resident_ready_ = true;
-  }
-
   // Scratch blobs reused across the whole batch (resize below the high-water
   // capacity never reallocates).
   for (std::size_t image = 0; image < ctx.batch; ++image) {
@@ -538,22 +445,22 @@ Fire ClassifierPeModule::fire(const RunContext& ctx) {
     current_.resize(program_.passes.front().input_elements());
     CONDOR_CO_RETURN_IF_ERROR(
         co_await read_frame(in_, data_type_, frac, current_, name()));
-    for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
-      const LayerPass& pass = program_.passes[pi];
+    for (const LayerPass& pass : program_.passes) {
       switch (pass.kind) {
         case PassKind::kInnerProduct: {
           const std::size_t in_count = pass.input_elements();
           const std::size_t out_count = pass.output_elements();
-          const std::vector<float>& packed = packed_weights_[pi];
+          const ResidentWeights& resident = pass.resident;
           // Every neuron accumulates in place in next_: its chain is the
           // bias, then ascending-h adds.
           next_.resize(out_count);
           for (std::size_t j = 0; j < out_count; ++j) {
-            next_[j] = pass.has_bias ? pass_bias_[pi][j] : 0.0F;
+            next_[j] = pass.has_bias ? resident.bias[j] : 0.0F;
           }
           nn::kernels::inner_product_accumulate(next_.data(), out_count,
                                                 current_.data(), in_count,
-                                                packed.data(), out_count);
+                                                resident.packed.data(),
+                                                out_count);
           for (float& value : next_) {
             value = nn::apply_activation(pass.activation, value);
           }
@@ -581,33 +488,6 @@ template <typename Acc>
 Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
   const int bits = nn::total_bits(data_type_);
 
-  // One-time runtime configuration load, as in the float path — the raw
-  // float weights stream in once per compiled design, quantize on chip
-  // with the same per-blob dynamic formats the QuantizedEngine derives,
-  // and stay resident as packed integer codes for every image of every
-  // batch. Warm runs skip the (closed, empty) stream entirely.
-  if (!resident_ready_) {
-    resident_.resize(program_.passes.size());
-    for (std::size_t pi = 0; pi < program_.passes.size(); ++pi) {
-      const LayerPass& pass = program_.passes[pi];
-      if (pass.params == nullptr) {
-        continue;
-      }
-      FixedPassWeights& slot = resident_[pi];
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-          weights_, pass.params->weights.size(), weight_buffer_, name()));
-      slot.weight_frac =
-          nn::quantize_span(weight_buffer_, bits, wcodes_).frac_bits;
-      slot.packed = nn::kernels::pack_inner_product_weights<std::int32_t>(
-          wcodes_, pass.output_elements(), pass.input_elements());
-      CONDOR_CO_RETURN_IF_ERROR(co_await read_weights(
-          weights_, pass.params->bias.size(), weight_buffer_, name()));
-      slot.bias_frac =
-          nn::quantize_span(weight_buffer_, bits, slot.bias_codes).frac_bits;
-    }
-    resident_ready_ = true;
-  }
-
   // Accumulator scratch: keeps its high-water capacity across passes and
   // batches.
   std::vector<Acc>& acc = fixed_acc<Acc>();
@@ -624,20 +504,22 @@ Fire ClassifierPeModule::run_fixed(const RunContext& ctx) {
         case PassKind::kInnerProduct: {
           const std::size_t in_count = pass.input_elements();
           const std::size_t out_count = pass.output_elements();
-          const FixedPassWeights& slot = resident_[pi];
-          const int acc_frac = slot.weight_frac + frac;
+          const ResidentWeights& resident = pass.resident;
+          const int acc_frac = resident.weight_frac + frac;
           // Integer sums over every neuron, then dequantize + activate; the
           // blob-wide requantization follows the pass.
           acc.resize(out_count);
           for (std::size_t j = 0; j < out_count; ++j) {
             acc[j] = pass.has_bias
                          ? static_cast<Acc>(nn::realign_code(
-                               slot.bias_codes[j], slot.bias_frac, acc_frac))
+                               resident.bias_codes[j], resident.bias_frac,
+                               acc_frac))
                          : Acc{0};
           }
           nn::kernels::inner_product_accumulate(acc.data(), out_count,
                                                 codes_.data(), in_count,
-                                                slot.packed.data(), out_count);
+                                                resident.packed_codes.data(),
+                                                out_count);
           values_.resize(out_count);
           for (std::size_t j = 0; j < out_count; ++j) {
             values_[j] = nn::apply_activation(

@@ -18,8 +18,8 @@
 // reference bit-for-bit (input channel outer, window row, window column).
 //
 // Convolution passes run the packed OC-contiguous microkernel
-// (nn/kernels.hpp) over a per-pass weight repack: one kernel call per
-// output row spans every output channel, the kernels' SIMD axis.
+// (nn/kernels.hpp) over the pass's resident weight pack: one kernel call
+// per output row spans every output channel, the kernels' SIMD axis.
 //
 // The plan's parallel_out (the paper's intra-layer unfolding over output
 // maps) and parallel_in (replicated filter chains) degrees are hardware
@@ -31,8 +31,8 @@
 //
 // ClassifierPeModule implements fully-connected layers as single-input/
 // single-output 1x1-convolution PEs (paper §3.3 step 4): no memory
-// subsystem, weights resident on chip (repacked once per batch into the
-// transposed GEMV layout), one multiply-accumulate stream over the
+// subsystem, weights resident on chip (packed once per compiled design
+// into the transposed GEMV layout), one multiply-accumulate stream over the
 // flattened input into every output neuron at once.
 //
 // Fixed-point datapath (plan data_type fixed16/fixed8, see nn/numeric.hpp):
@@ -41,11 +41,12 @@
 // the window indexing is numeric-type agnostic). Each blob's dynamic
 // Q-format travels in-band as the header word of its frame
 // (dataflow/frame.hpp). Fused passes keep the intermediate format in a
-// PE-local variable next to the PE-local intermediate blob. PEs
-// quantize their own weights from the raw float weight stream with the same
-// nn/numeric.hpp helpers the QuantizedEngine uses, MAC raw codes in a
-// widened integer accumulator, and requantize the full output blob at every
-// pass boundary — bit-exact against nn::QuantizedEngine by construction.
+// PE-local variable next to the PE-local intermediate blob. PEs MAC
+// their passes' resident weight codes (quantized with the same
+// nn/numeric.hpp helpers the QuantizedEngine uses) against raw input codes
+// in a widened integer accumulator, and requantize the full output blob at
+// every pass boundary — bit-exact against nn::QuantizedEngine by
+// construction.
 //
 // Zero-allocation steady state: every per-image buffer (retained blobs,
 // padded frame, accumulator tile, dequantize/requantize scratch) is a module member
@@ -55,15 +56,15 @@
 // capacity no later image touches the heap.
 //
 // Weight residency extends the same ownership rule to the weights
-// themselves: each PE drains its weight stream exactly once per compiled
-// design — before the first image of the first run — and latches the
-// packed (and, for fixed datapaths, quantized) blocks in its per-pass
-// cache. Every later image AND every later run_batch over the same design
-// runs entirely from the resident copy; the warm path moves zero weight
-// bytes (RunStats.weight_bytes_streamed counts the proof). Residency is
-// invalidated with the design: plan and WeightStore are immutable
-// shared_ptr<const> state, so any change recompiles the graph and rebuilds
-// both the movers and these caches. steady_state_alloc_test enforces the
+// themselves: every weighted pass carries its packed (and, on fixed
+// datapaths, quantized) blocks in LayerPass::resident, derived once per
+// compiled design by build_pe_program (dataflow/program.hpp). Both PE kinds
+// read them as const data, so every image AND every run_batch over the
+// same design runs entirely from the resident copy and the warm path moves
+// zero weight bytes (RunStats.weight_bytes_streamed counts the proof).
+// Residency is invalidated with the design: plan and WeightStore are
+// immutable shared_ptr<const> state, so any change recompiles the design
+// and re-derives the blocks. steady_state_alloc_test enforces the
 // allocation and the weight-traffic halves of the contract.
 #pragma once
 
@@ -83,17 +84,15 @@ namespace condor::dataflow {
 class FeaturePeModule final : public Module {
  public:
   /// `in` is the PE's inter-PE input edge: one pass-0 input blob per image
-  /// (unpadded, (c, y, x) order). `weights` (nullable when no pass carries
-  /// parameters) delivers the one-time weight load from the datamover
-  /// (latched resident on first receipt); `out` lists the PE's out-edges.
+  /// (unpadded, (c, y, x) order); `out` lists the PE's out-edges. The
+  /// program's weighted passes carry their resident weights.
   FeaturePeModule(std::string name, const PeProgram& program, Stream& in,
-                  Stream* weights, OutEdges out,
+                  OutEdges out,
                   nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
         data_type_(data_type),
         in_(in),
-        weights_(weights),
         out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
@@ -103,26 +102,19 @@ class FeaturePeModule final : public Module {
   // body): a stream suspension inside a helper suspends the whole module
   // firing at that innermost point.
 
-  /// One-time weight latch: drains the weight stream (first run of a
-  /// compiled design only) and derives every pass's resident blocks into
-  /// weight_cache_. A no-op once every weighted pass is ready.
-  Fire latch_resident_weights();
-
-  /// `pass_index` selects the pass's resident weight-cache slot (latched by
-  /// latch_resident_weights before the first image).
-  Fire run_pass(std::size_t pass_index, const LayerPass& pass, PassSink sink);
+  Fire run_pass(const LayerPass& pass, PassSink sink);
 
   /// Fixed-point pass: codes in, codes out. `in_frac` is the input blob's
   /// format; the requantized output blob's format lands in `out_frac` (and,
   /// on an edge sink, in the frame's header word).
-  Fire run_pass_fixed(std::size_t pass_index, const LayerPass& pass,
-                      PassSink sink, int in_frac, int& out_frac);
+  Fire run_pass_fixed(const LayerPass& pass, PassSink sink, int in_frac,
+                      int& out_frac);
 
   /// The convolution body of run_pass_fixed, templated over the widened
   /// accumulator (int64 for fixed16, int32 for fixed8 — see nn/kernels.hpp).
   template <typename Acc>
-  Fire run_conv_pass_fixed(std::size_t pass_index, const LayerPass& pass,
-                           PassSink sink, int in_frac, int& out_frac);
+  Fire run_conv_pass_fixed(const LayerPass& pass, PassSink sink, int in_frac,
+                           int& out_frac);
 
   /// The retained input blob in the pass's padded frame (in_channels x
   /// in_h x in_w): fused_prev_ itself when the pass has no padding, else
@@ -133,27 +125,6 @@ class FeaturePeModule final : public Module {
   /// 1x1-window passes: element-wise and upsample).
   void gather_local_map(const LayerPass& pass, std::size_t channel,
                         std::span<float> map) const noexcept;
-
-  /// Pass-indexed cache of resident weight blocks, latched from the weight
-  /// stream's one-time load (latch_resident_weights) and reused for every
-  /// image and every run_batch of the compiled design. The WeightStore is
-  /// immutable, so the repack (and the fixed paths' quantization) is a pure
-  /// function of the pass; a plan/weight change recompiles the design and
-  /// starts from empty slots.
-  struct PassWeightCache {
-    bool ready = false;
-    std::vector<float> packed;              ///< float path: (ic,ky,kx,oc)
-    std::vector<float> bias;                ///< float path: raw bias seeds
-    std::vector<std::int32_t> packed_codes; ///< fixed path: same, as codes
-    std::vector<std::int32_t> bias_codes;
-    int weight_frac = 0;
-    int bias_frac = 0;
-  };
-
-  /// Derives pass `pass_index`'s resident blocks from the freshly drained
-  /// weight_buffer_/bias_buffer_ (datapath-aware: float repack or
-  /// quantize + repack).
-  void derive_pass_cache(std::size_t pass_index, const LayerPass& pass);
 
   /// The accumulator tile of the fixed conv path, selected by the widened
   /// accumulator type.
@@ -169,13 +140,9 @@ class FeaturePeModule final : public Module {
   const PeProgram& program_;
   nn::DataType data_type_;
   Stream& in_;
-  Stream* weights_;
   OutEdges out_;
 
   // --- steady-state scratch arena (see the header comment) ---------------
-  std::vector<PassWeightCache> weight_cache_;  ///< one slot per pass
-  std::vector<float> weight_buffer_;           ///< raw stream drain
-  std::vector<float> bias_buffer_;
   std::vector<float> padded_;                  ///< padded frame (pad > 0)
   std::vector<std::int32_t> frame_codes_;      ///< fixed: frame as codes
   std::vector<float> acc_;                     ///< float conv acc tile
@@ -199,18 +166,16 @@ class FeaturePeModule final : public Module {
 
 class ClassifierPeModule final : public Module {
  public:
-  /// `weights` delivers the one-time runtime weight load (the classifier's
-  /// parameters stay chip-resident across the batch AND across batches —
-  /// the stream is drained once per compiled design). `out` lists the PE's
-  /// out-edges.
+  /// `out` lists the PE's out-edges. The program's inner-product passes
+  /// carry their resident weights, so the classifier's parameters stay
+  /// chip-resident across the batch AND across batches.
   ClassifierPeModule(std::string name, const PeProgram& program, Stream& in,
-                     Stream* weights, OutEdges out,
+                     OutEdges out,
                      nn::DataType data_type = nn::DataType::kFloat32)
       : Module(std::move(name)),
         program_(program),
         data_type_(data_type),
         in_(in),
-        weights_(weights),
         out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
@@ -221,14 +186,6 @@ class ClassifierPeModule final : public Module {
   /// FeaturePeModule).
   template <typename Acc>
   Fire run_fixed(const RunContext& ctx);
-
-  /// Chip-resident quantized weights of one weighted pass (fixed path).
-  struct FixedPassWeights {
-    std::vector<std::int32_t> packed;  ///< (in, out) transposed codes
-    std::vector<std::int32_t> bias_codes;
-    int weight_frac = 0;
-    int bias_frac = 0;
-  };
 
   /// Accumulator scratch of the fixed path, selected by the widened
   /// accumulator type.
@@ -244,23 +201,14 @@ class ClassifierPeModule final : public Module {
   const PeProgram& program_;
   nn::DataType data_type_;
   Stream& in_;
-  Stream* weights_;
   OutEdges out_;
 
-  // --- steady-state scratch + resident weights (persist across batches;
-  // the weight stream is drained exactly once per compiled design — warm
-  // runs find it closed and empty) ----------------------------------------
-  bool resident_ready_ = false;
-  std::vector<std::vector<float>> packed_weights_;  ///< float path, per pass
-  std::vector<std::vector<float>> pass_bias_;
-  std::vector<FixedPassWeights> resident_;          ///< fixed path, per pass
-  std::vector<float> weight_buffer_;
+  // --- steady-state scratch (persists across batches) --------------------
   std::vector<float> words_;                        ///< fixed: input, frame
   std::vector<float> current_;
   std::vector<float> next_;
   std::vector<std::int32_t> codes_;                 ///< fixed: current blob
   std::vector<float> values_;
-  std::vector<std::int32_t> wcodes_;
   std::vector<std::int64_t> acc64_;
   std::vector<std::int32_t> acc32_;
 };

@@ -1,8 +1,54 @@
 #include "dataflow/program.hpp"
 
+#include <span>
+#include <utility>
+
 #include "common/strings.hpp"
+#include "nn/kernels.hpp"
+#include "nn/numeric.hpp"
 
 namespace condor::dataflow {
+namespace {
+
+/// Repacks canonical-order weights (or their codes) into the layout the
+/// pass's microkernel reads.
+template <typename T>
+std::vector<T> pack_for_pass(const LayerPass& pass,
+                             std::span<const T> weights) {
+  if (pass.kind == PassKind::kConvolution) {
+    return nn::kernels::pack_conv_weights(weights, pass.out_channels,
+                                          pass.in_channels, pass.window_h,
+                                          pass.window_w);
+  }
+  return nn::kernels::pack_inner_product_weights(
+      weights, pass.output_elements(), pass.input_elements());
+}
+
+/// Derives `pass`'s resident blocks from its parameters: a pure function of
+/// the immutable WeightStore slice and the datapath.
+void derive_resident_weights(LayerPass& pass, nn::DataType data_type) {
+  const nn::LayerParameters& params = *pass.params;
+  ResidentWeights& resident = pass.resident;
+  if (!nn::is_fixed_point(data_type)) {
+    resident.packed = pack_for_pass(pass, params.weights.data());
+    resident.bias.assign(params.bias.data().begin(), params.bias.data().end());
+    return;
+  }
+  const int bits = nn::total_bits(data_type);
+  std::vector<std::int32_t> codes;
+  resident.weight_frac =
+      nn::quantize_span(params.weights.data(), bits, codes).frac_bits;
+  resident.packed_codes =
+      pack_for_pass(pass, std::span<const std::int32_t>(codes));
+  resident.bias_frac = bits - 1;
+  if (pass.has_bias) {
+    resident.bias_frac =
+        nn::quantize_span(params.bias.data(), bits, resident.bias_codes)
+            .frac_bits;
+  }
+}
+
+}  // namespace
 
 std::size_t PeProgram::external_input_elements() const noexcept {
   if (passes.empty()) {
@@ -14,7 +60,7 @@ std::size_t PeProgram::external_input_elements() const noexcept {
          (first.in_w - 2 * first.pad);
 }
 
-std::size_t PeProgram::weight_stream_elements() const noexcept {
+std::size_t PeProgram::weight_elements() const noexcept {
   std::size_t total = 0;
   for (const LayerPass& pass : passes) {
     if (pass.params == nullptr) {
@@ -133,7 +179,10 @@ Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,
             "layer '%s' of kind %s cannot be scheduled on a PE",
             layer.name.c_str(), std::string(nn::to_string(layer.kind)).c_str()));
     }
-    program.passes.push_back(pass);
+    if (pass.params != nullptr) {
+      derive_resident_weights(pass, plan.data_type());
+    }
+    program.passes.push_back(std::move(pass));
   }
   return program;
 }

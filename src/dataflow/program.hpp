@@ -10,9 +10,19 @@
 // program, so the stream contents stay deterministic without control
 // tokens — exactly like the synthesized hardware, where the schedule is
 // compiled into each module's loop nest.
+//
+// Weighted passes also carry their chip-resident weights (paper §3.2: PEs
+// keep their weights on chip): build_pe_program derives them once per
+// compiled design from the WeightStore, which stands in for the weight
+// regions of on-board memory, and the PEs read them as const data. The
+// one-time DDR-to-chip weight load itself lives where it costs something:
+// HLS codegen (the gmem_weights port and each PE's weight stream), the
+// resource model's on-chip weight storage and the performance model's
+// weight_load_cycles.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.hpp"
@@ -30,6 +40,22 @@ enum class PassKind {
   kEltwiseAdd,  ///< two-input join: element-wise sum (join PEs only)
   kConcat,      ///< two-input join: channel concatenation (join PEs only)
   kUpsample,    ///< nearest-neighbour spatial replication by `scale`
+};
+
+/// Chip-resident weight blocks of one weighted pass, in the layout the
+/// pass's microkernel reads: convolution (ic, ky, kx, oc), inner product
+/// transposed (in, out) — output channel innermost either way. The float
+/// datapath fills `packed` and `bias`; the fixed datapaths fill the code
+/// blocks, quantized with the QuantizedEngine's per-blob dynamic formats
+/// (one over the full weight tensor, one over the bias), so the codes are
+/// identical by construction.
+struct ResidentWeights {
+  std::vector<float> packed;               ///< float: packed weights
+  std::vector<float> bias;                 ///< float: raw bias seeds
+  std::vector<std::int32_t> packed_codes;  ///< fixed: packed weight codes
+  std::vector<std::int32_t> bias_codes;    ///< fixed: bias codes
+  int weight_frac = 0;
+  int bias_frac = 0;
 };
 
 /// One fused layer's geometry and parameters as seen by the dataflow
@@ -59,6 +85,8 @@ struct LayerPass {
   nn::Activation activation = nn::Activation::kNone;
   bool has_bias = false;
   const nn::LayerParameters* params = nullptr;  ///< conv / inner-product
+  /// Derived from `params` on the plan's datapath (weighted passes only).
+  ResidentWeights resident;
 
   [[nodiscard]] std::size_t input_elements() const noexcept {
     return in_channels * in_h * in_w;
@@ -72,12 +100,10 @@ struct LayerPass {
 struct PeProgram {
   std::vector<LayerPass> passes;
 
-  /// Weight elements the datamover streams to this PE, in canonical order
-  /// (per weighted pass: all weights oc-major, then the biases). Every PE
-  /// receives this exactly once per compiled design (weight residency: the
-  /// slices latch on chip at the first run and every warm run moves zero
-  /// weight bytes — see pe.hpp).
-  [[nodiscard]] std::size_t weight_stream_elements() const noexcept;
+  /// Weight elements latched on chip for this PE (per weighted pass: the
+  /// weights plus the biases), once per compiled design; warm runs move
+  /// none (weight residency — see pe.hpp).
+  [[nodiscard]] std::size_t weight_elements() const noexcept;
 
   /// Elements the PE reads from its input edge per image (pass 0 input,
   /// unpadded).
@@ -89,7 +115,9 @@ struct PeProgram {
 };
 
 /// Builds the program for plan.pes[pe_index], resolving weights from
-/// `weights` (pointers remain owned by the store — it must outlive the run).
+/// `weights` (pointers remain owned by the store — it must outlive the run)
+/// and deriving every weighted pass's resident blocks on the plan's
+/// datapath.
 Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,
                                    std::size_t pe_index,
                                    const nn::WeightStore& weights);

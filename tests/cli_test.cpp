@@ -232,6 +232,17 @@ TEST(Cli, ValidateParallelOutIsAPlanDegree) {
       << "the models should price a wider unroll";
 }
 
+TEST(Cli, ValidateReportsWeightsLatchedOnce) {
+  // The PE programs latch their weights when the design compiles: TC1's
+  // (6*9 + 6) + (12*6*16 + 12) + (10*48 + 10) floats, once.
+  const CliRun result = run({"validate", "--model", "tc1", "--batch", "2"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(
+      result.out.find("weights latched: 6856 bytes (once per compiled design)"),
+      std::string::npos)
+      << result.out;
+}
+
 TEST(Cli, ValidateFixedLeNet) {
   const CliRun result = run(
       {"validate", "--model", "lenet", "--batch", "1", "--data-type", "fixed16"});

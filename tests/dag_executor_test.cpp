@@ -143,7 +143,7 @@ TEST(DagExecutor, WarmRunsStreamNoWeightBytes) {
   const auto inputs = testing::random_inputs(network, 2, 109);
   ASSERT_TRUE(executor.value().run_batch(inputs).is_ok());
   EXPECT_GT(executor.value().last_run_stats().weight_bytes_streamed, 0U)
-      << "cold run must stream the resident weight slices";
+      << "cold run must latch the resident weight slices";
   ASSERT_TRUE(executor.value().run_batch(inputs).is_ok());
   EXPECT_EQ(executor.value().last_run_stats().weight_bytes_streamed, 0U)
       << "warm run re-streamed weights despite residency";

@@ -282,19 +282,42 @@ TEST(DataflowExecutor, ParallelInputLanesMatchReference) {
                            engine.value().forward(inputs[i]).value()),
               0.0F);
   }
-  // 6 PEs + 4 weight movers (conv1, conv2, ip1, ip2) + 2 datamover halves:
-  // no module per filter or lane.
-  EXPECT_EQ(executor.value().last_run_stats().modules, 12u);
+  // 6 PEs + 2 datamover halves: no module per filter, lane or weight load.
+  EXPECT_EQ(executor.value().last_run_stats().modules, 8u);
+}
+
+/// Scheduler and FIFO work of one batch, summed over the design.
+struct SchedulerWork {
+  std::uint64_t fires = 0;
+  std::uint64_t suspensions = 0;
+  std::uint64_t blocked_reads = 0;
+  std::uint64_t blocked_writes = 0;
+  std::uint64_t fifo_writes = 0;
+  bool operator==(const SchedulerWork&) const = default;
+};
+
+SchedulerWork scheduler_work(const dataflow::RunStats& stats) {
+  SchedulerWork work;
+  for (const dataflow::ModuleRunStats& module : stats.module_stats) {
+    work.fires += module.fires;
+    work.suspensions += module.blocked;
+  }
+  for (const dataflow::FifoStats& stream : stats.stream_stats) {
+    work.blocked_reads += stream.blocked_reads;
+    work.blocked_writes += stream.blocked_writes;
+    work.fifo_writes += stream.total_writes;
+  }
+  return work;
 }
 
 class DataflowWiring
     : public ::testing::TestWithParam<std::tuple<const char*, nn::DataType>> {};
 
 TEST_P(DataflowWiring, OneStreamPerPlanEdge) {
-  // The executor builds exactly one stream per plan edge plus one weight
-  // stream per weighted PE, and one module per PE and weight mover plus the
-  // two datamover halves, on every datapath: fixed-point formats travel
-  // in-band and a fork is only wiring, so neither adds a stream or module.
+  // The executor builds exactly one stream per plan edge, and one module
+  // per PE plus the two datamover halves, on every datapath: fixed-point
+  // formats travel in-band, a fork is only wiring and weights are resident
+  // in the PE programs, so none of them adds a stream or module.
   const auto [model_name, data_type] = GetParam();
   auto network = nn::make_model(model_name);
   ASSERT_TRUE(network.is_ok());
@@ -304,12 +327,6 @@ TEST_P(DataflowWiring, OneStreamPerPlanEdge) {
   hw_net.hw.data_type = data_type;
   auto plan = hw::plan_accelerator(hw_net);
   ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-  std::size_t weighted_pes = 0;
-  for (std::size_t p = 0; p < plan.value().pes.size(); ++p) {
-    auto program = dataflow::build_pe_program(plan.value(), p, weights.value());
-    ASSERT_TRUE(program.is_ok()) << program.status().to_string();
-    weighted_pes += program.value().weight_stream_elements() > 0 ? 1 : 0;
-  }
   auto executor =
       dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
   ASSERT_TRUE(executor.is_ok());
@@ -317,8 +334,54 @@ TEST_P(DataflowWiring, OneStreamPerPlanEdge) {
   auto outputs = executor.value().run_batch(inputs);
   ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
   const dataflow::RunStats& stats = executor.value().last_run_stats();
-  EXPECT_EQ(stats.streams, plan.value().edges.size() + weighted_pes);
-  EXPECT_EQ(stats.modules, plan.value().pes.size() + weighted_pes + 2);
+  EXPECT_EQ(stats.streams, plan.value().edges.size());
+  EXPECT_EQ(stats.modules, plan.value().pes.size() + 2);
+}
+
+TEST_P(DataflowWiring, ColdRunDoesWarmRunSchedulerWork) {
+  // The weights are resident in the PE programs from compilation on, so
+  // the run that compiles the design hands off exactly what every warm run
+  // does: at one scheduler worker the cold run's fires, suspensions,
+  // blocked reads/writes and FIFO writes equal the warm run's.
+  const auto [model_name, data_type] = GetParam();
+  auto network = nn::make_model(model_name);
+  ASSERT_TRUE(network.is_ok());
+  auto weights = nn::initialize_weights(network.value(), 31);
+  ASSERT_TRUE(weights.is_ok());
+  hw::HwNetwork hw_net = hw::with_default_annotations(network.value());
+  hw_net.hw.data_type = data_type;
+  auto plan = hw::plan_accelerator(hw_net);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  auto executor =
+      dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
+  ASSERT_TRUE(executor.is_ok());
+  executor.value().set_scheduler_workers(1);
+  const auto inputs = testing::random_inputs(network.value(), 4, 37);
+
+  auto cold = executor.value().run_batch(inputs);
+  ASSERT_TRUE(cold.is_ok()) << cold.status().to_string();
+  const dataflow::RunStats& cold_stats = executor.value().last_run_stats();
+  EXPECT_EQ(cold_stats.workers, 1u);
+  EXPECT_GT(cold_stats.weight_bytes_streamed, 0u);
+  const SchedulerWork cold_work = scheduler_work(cold_stats);
+
+  auto warm = executor.value().run_batch(inputs);
+  ASSERT_TRUE(warm.is_ok()) << warm.status().to_string();
+  const dataflow::RunStats& warm_stats = executor.value().last_run_stats();
+  EXPECT_EQ(warm_stats.weight_bytes_streamed, 0u);
+  const SchedulerWork warm_work = scheduler_work(warm_stats);
+
+  EXPECT_GT(cold_work.fires, 0u);
+  EXPECT_EQ(cold_work.fires, warm_work.fires);
+  EXPECT_EQ(cold_work.suspensions, warm_work.suspensions);
+  EXPECT_EQ(cold_work.blocked_reads, warm_work.blocked_reads);
+  EXPECT_EQ(cold_work.blocked_writes, warm_work.blocked_writes);
+  EXPECT_EQ(cold_work.fifo_writes, warm_work.fifo_writes);
+  ASSERT_EQ(warm.value().size(), cold.value().size());
+  for (std::size_t i = 0; i < cold.value().size(); ++i) {
+    EXPECT_EQ(max_abs_diff(warm.value()[i], cold.value()[i]), 0.0F)
+        << "image " << i << " differs between the cold and warm runs";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -334,14 +397,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Host work of one warm batch at one scheduler worker: the scheduler and
 /// FIFO counters summed over the design, and the size of the pool it ran on.
-struct HostWork {
-  std::uint64_t fires = 0;
-  std::uint64_t suspensions = 0;
-  std::uint64_t blocked_reads = 0;
-  std::uint64_t blocked_writes = 0;
-  std::uint64_t fifo_writes = 0;
+struct HostWork : SchedulerWork {
   std::size_t pool_workers = 0;
-  bool operator==(const HostWork&) const = default;
 };
 
 class HostWorkAcrossDegrees
@@ -386,18 +443,7 @@ TEST_P(HostWorkAcrossDegrees, ParallelOutIsAPlanDegreeOnly) {
     outputs = std::move(warm).value();
     const dataflow::RunStats& stats = executor.value().last_run_stats();
     EXPECT_EQ(stats.workers, 1u);
-    HostWork work;
-    for (const dataflow::ModuleRunStats& module : stats.module_stats) {
-      work.fires += module.fires;
-      work.suspensions += module.blocked;
-    }
-    for (const dataflow::FifoStats& stream : stats.stream_stats) {
-      work.blocked_reads += stream.blocked_reads;
-      work.blocked_writes += stream.blocked_writes;
-      work.fifo_writes += stream.total_writes;
-    }
-    work.pool_workers = pool.worker_count();
-    return work;
+    return HostWork{scheduler_work(stats), pool.worker_count()};
   };
 
   std::vector<Tensor> baseline_outputs;
@@ -565,8 +611,8 @@ TEST(DataflowExecutor, ParallelLanesOnFusedPeMatchReference) {
   }
 }
 
-TEST(DataflowExecutor, WeightStreamsCarryExpectedTraffic) {
-  // Weight residency: every weighted PE receives its slice exactly once per
+TEST(DataflowExecutor, WeightsLatchOncePerCompiledDesign) {
+  // Weight residency: every weighted PE latches its slice exactly once per
   // compiled design, regardless of batch size — and a warm run moves zero
   // weight bytes.
   const nn::Network network = nn::make_tc1();
@@ -587,33 +633,21 @@ TEST(DataflowExecutor, WeightStreamsCarryExpectedTraffic) {
   const std::uint64_t conv1_expected = 6ull * 9 + 6;
   const std::uint64_t conv2_expected = 12ull * 6 * 16 + 12;
   const std::uint64_t ip1_expected = 10ull * 48 + 10;
-  std::uint64_t conv1_seen = 0;
-  std::uint64_t conv2_seen = 0;
-  std::uint64_t ip1_seen = 0;
-  const auto stats = executor.value().last_run_stats();
-  std::size_t weight_streams = 0;
-  for (std::size_t s = 0; s < stats.stream_stats.size(); ++s) {
-    // Identify weight streams by their write totals matching expectations.
-    const std::uint64_t writes = stats.stream_stats[s].total_writes;
-    if (writes == conv1_expected) {
-      conv1_seen = writes;
-      ++weight_streams;
-    } else if (writes == conv2_expected) {
-      conv2_seen = writes;
-      ++weight_streams;
-    } else if (writes == ip1_expected) {
-      ip1_seen = writes;
-      ++weight_streams;
+  std::vector<std::uint64_t> latched;
+  for (std::size_t p = 0; p < plan.value().pes.size(); ++p) {
+    auto program = dataflow::build_pe_program(plan.value(), p, weights.value());
+    ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+    if (program.value().weight_elements() > 0) {
+      latched.push_back(program.value().weight_elements());
     }
   }
-  EXPECT_EQ(conv1_seen, conv1_expected);
-  EXPECT_EQ(conv2_seen, conv2_expected);
-  EXPECT_EQ(ip1_seen, ip1_expected);
-  EXPECT_GE(weight_streams, 3u);
-  EXPECT_EQ(stats.weight_bytes_streamed,
+  EXPECT_EQ(latched, (std::vector<std::uint64_t>{conv1_expected,
+                                                 conv2_expected,
+                                                 ip1_expected}));
+  EXPECT_EQ(executor.value().last_run_stats().weight_bytes_streamed,
             (conv1_expected + conv2_expected + ip1_expected) * sizeof(float));
 
-  // Warm run over the same design: zero weight bytes on any stream.
+  // Warm run over the same design: zero weight bytes.
   auto warm = executor.value().run_batch(inputs);
   ASSERT_TRUE(warm.is_ok());
   EXPECT_EQ(executor.value().last_run_stats().weight_bytes_streamed, 0u);
@@ -641,8 +675,8 @@ TEST(DataflowExecutor, RepeatedRunBatchIsBitIdentical) {
   EXPECT_GT(first_stats.weight_bytes_streamed, 0u);
 
   // The first warm run establishes the steady-state per-stream traffic;
-  // every later warm run must match it exactly. It differs from the first
-  // (cold) run only on the weight streams, which residency empties.
+  // every later warm run must match it exactly. The weights are resident
+  // from compilation on, so the cold run moves the same traffic.
   std::optional<dataflow::RunStats> warm_stats;
   for (int run = 0; run < 3; ++run) {
     auto again = executor.value().run_batch(inputs);
@@ -658,9 +692,9 @@ TEST(DataflowExecutor, RepeatedRunBatchIsBitIdentical) {
     ASSERT_EQ(stats.stream_stats.size(), first_stats.stream_stats.size());
     if (!warm_stats.has_value()) {
       warm_stats = stats;
-      // Warm traffic never exceeds cold traffic on any stream.
+      // Warm traffic equals cold traffic on every stream.
       for (std::size_t s = 0; s < stats.stream_stats.size(); ++s) {
-        EXPECT_LE(stats.stream_stats[s].total_writes,
+        EXPECT_EQ(stats.stream_stats[s].total_writes,
                   first_stats.stream_stats[s].total_writes);
       }
       continue;

@@ -5,9 +5,10 @@
 // functions to notify the probe, so once a counter is armed every heap
 // allocation performed *inside those scopes* is counted. The contract under
 // test: the first run_batch calls may allocate freely (scratch arenas grow
-// to their high-water marks, weight caches fill), but after warmup further
-// run_batch calls perform no per-image heap allocations in the module
-// bodies — for every datapath and at parallel_out > 1. The plan's
+// to their high-water marks, the design compiles its resident weights), but
+// after warmup further run_batch calls perform no per-image heap
+// allocations in the module bodies — for every datapath and at
+// parallel_out > 1. The plan's
 // parallel_out is a hardware degree: every PE pass runs full-width on the
 // module's own thread, so the *ParallelLanes cases check the very same
 // bodies with nothing paused.
@@ -62,8 +63,8 @@ namespace {
 
 /// Builds an executor for `network` at `data_type` / `parallel_out`, runs
 /// two warmup batches, then counts module-body allocations of a third.
-/// Also asserts the weight-residency contract: the cold run streams weight
-/// bytes, every warm run streams exactly zero. `fuse_chain` > 1 clusters
+/// Also asserts the weight-residency contract: the cold run latches weight
+/// bytes, every warm run latches exactly zero. `fuse_chain` > 1 clusters
 /// blocks of that many consecutive feature-extraction layers onto fused
 /// PEs (the network must be a linear chain), exercising the PE-local
 /// fused passes — whose grow-only double buffers must hold the
@@ -122,8 +123,8 @@ void expect_steady_state_allocates_nothing(const nn::Network& network,
 
   const auto inputs = testing::random_inputs(network, 2, seed + 1);
 
-  // Warmup: scratch arenas grow to their high-water marks and the packed /
-  // quantized weight caches fill. Two rounds so the second round's own
+  // Warmup: scratch arenas grow to their high-water marks and the design
+  // compiles its packed / quantized resident weights. Two rounds so the second round's own
   // growth (if any) would already have been flushed out. The first round is
   // counted too, as a canary: it MUST allocate (scratch growth), proving
   // the operator-new hook is live and the later zero reading is meaningful.
@@ -138,7 +139,7 @@ void expect_steady_state_allocates_nothing(const nn::Network& network,
       << "cold run must allocate scratch; is the allocation hook linked?";
   // The cold run is also the one-time weight load.
   EXPECT_GT(executor.value().last_run_stats().weight_bytes_streamed, 0U)
-      << "first run must stream the resident weight slices";
+      << "first run must latch the resident weight slices";
   {
     auto outputs = executor.value().run_batch(inputs);
     ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
