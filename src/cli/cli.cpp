@@ -555,9 +555,11 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   std::uint64_t blocked_reads = 0;
   std::uint64_t blocked_writes = 0;
+  std::uint64_t fifo_writes = 0;
   for (const dataflow::FifoStats& stream : run_stats.stream_stats) {
     blocked_reads += stream.blocked_reads;
     blocked_writes += stream.blocked_writes;
+    fifo_writes += stream.total_writes;
   }
   out << strings::format(
       "scheduler: %s, %zu workers, %llu fires, %llu suspensions "
@@ -567,6 +569,9 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
       static_cast<unsigned long long>(module_blocks),
       static_cast<unsigned long long>(blocked_reads),
       static_cast<unsigned long long>(blocked_writes));
+  // Every word the run pushed through a FIFO (frame headers included).
+  out << strings::format("FIFO writes: %llu words\n",
+                         static_cast<unsigned long long>(fifo_writes));
   out << strings::format("kernels: %s (CPU: %s)\n",
                          std::string(run_stats.simd_level).c_str(),
                          nn::kernels::cpu_feature_string().c_str());

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "dataflow/join.hpp"
 #include "dataflow/pe.hpp"
 #include "nn/kernels_simd.hpp"
 #include "nn/reference.hpp"
@@ -49,9 +48,17 @@ Status AcceleratorExecutor::build_design() {
   for (std::size_t p = 0; p < plan_->pes.size(); ++p) {
     CONDOR_ASSIGN_OR_RETURN(PeProgram program,
                             build_pe_program(*plan_, p, *weights_));
-    // Multi-pass feature/element-wise PEs run every pass after the first
-    // PE-locally (dataflow/pe.hpp). Classifier PEs run their passes
-    // in-register, and join PEs are single-pass.
+    // A join reads its operands from the PE's in-ports, so it can only be
+    // pass 0; the planner never fuses anything into a join PE.
+    if (program.passes.empty() ||
+        std::any_of(program.passes.begin() + 1, program.passes.end(),
+                    [](const LayerPass& pass) { return is_join(pass.kind); })) {
+      return internal_error("PE '" + plan_->pes[p].name +
+                            "': a join may only be the first of its passes");
+    }
+    // Every pass after a PE's first runs PE-locally (dataflow/pe.hpp); the
+    // count keeps its plan-level definition: passes after the first of
+    // every feature and element-wise PE.
     const hw::PeKind kind = plan_->pes[p].kind;
     if (kind == hw::PeKind::kFeature || kind == hw::PeKind::kElementwise) {
       design->fused_local_passes += program.passes.size() - 1;
@@ -135,12 +142,14 @@ Status AcceleratorExecutor::build_design() {
     return internal_error("plan has no input edge");
   }
 
+  // One PE module per plan PE, whatever it computes: its pass list is its
+  // whole behaviour, and a join as pass 0 gives it a second in-port.
   for (std::size_t p = 0; p < plan_->pes.size(); ++p) {
     const hw::PePlan& pe = plan_->pes[p];
     const PeProgram& program = programs[p];
     const std::vector<std::size_t>& in_ports = in_edge_of[p];
     const std::size_t expected_ports =
-        pe.kind == hw::PeKind::kJoin ? 2 : 1;
+        is_join(program.passes.front().kind) ? 2 : 1;
     if (in_ports.size() != expected_ports ||
         std::find(in_ports.begin(), in_ports.end(), kNoEdge) !=
             in_ports.end()) {
@@ -151,29 +160,12 @@ Status AcceleratorExecutor::build_design() {
     if (out_edges_of[p].empty()) {
       return internal_error("PE '" + pe.name + "' has no out-edge");
     }
-    Stream& external_in = *edge_streams[in_ports.front()];
-
-    if (pe.kind == hw::PeKind::kJoin) {
-      // Two-input merge point: no memory subsystem, no weights — the module
-      // reads both operand edges directly (ports 0/1 in `inputs` order).
-      graph.add_module<JoinModule>(pe.name, program, external_in,
-                                   *edge_streams[in_ports[1]],
-                                   std::move(out_edges_of[p]), data_type);
-      continue;
+    std::vector<Stream*> in;
+    for (const std::size_t e : in_ports) {
+      in.push_back(edge_streams[e]);
     }
-
-    // Classifier and feature / element-wise PEs read their input blob
-    // straight from the edge; the feature PE indexes its windows in the
-    // retained blob. Every pass computes full-width: the plan's
-    // parallel_out is a hardware degree only (dataflow/pe.hpp).
-    if (pe.kind == hw::PeKind::kClassifier) {
-      graph.add_module<ClassifierPeModule>(pe.name, program, external_in,
-                                           std::move(out_edges_of[p]),
-                                           data_type);
-      continue;
-    }
-    graph.add_module<FeaturePeModule>(pe.name, program, external_in,
-                                      std::move(out_edges_of[p]), data_type);
+    graph.add_module<PeModule>(pe.name, program, std::move(in),
+                               std::move(out_edges_of[p]), data_type);
   }
 
   // Datamover halves. The output blob shape the sink collects: the sink

@@ -1,25 +1,36 @@
-// Processing element modules.
+// The processing element module.
 //
-// FeaturePeModule executes convolution / pooling / element-wise passes. Per
-// image it burst-reads its input blob straight from its inter-PE edge and
-// retains it PE-locally; every pass reads the retained blob and leaves its
-// output either on the downstream edge (last pass) or in the PE-local
-// buffer the next fused pass reads, so fused intermediates never touch a
-// FIFO. Windowed passes index the zero-padded frame in place with the
-// golden reference's tap arithmetic: tap (ky, kx) of output row oy starts
-// at (oy*stride + ky)*in_w + kx and advances `stride` per output column.
-// The paper's memory subsystem (§3.2: one filter per window access, FIFOs
-// sized to the spatial distance between accesses) is the hardware that
-// delivers exactly these taps; hw::MemoryPipelinePlan, the resource model,
-// HLS codegen and sim::element_sim own it, and the functional executor
-// computes the values it delivers. Convolution accumulates into on-chip
-// output-map accumulators (seeded with the bias) walking the input
-// channels in ascending order; accumulation order matches the golden
-// reference bit-for-bit (input channel outer, window row, window column).
+// PeModule runs any PE program (dataflow/program.hpp): one LayerPass per
+// fused layer, each executed by one `switch (pass.kind)` (paper §3.2: a
+// fused PE is an outer loop over the implemented layers plus
+// conditionals). Per image it burst-reads pass 0's input blob straight from
+// its first in-port and retains it PE-locally; every pass reads the
+// retained blob, computes its activated value blob, and leaves it either on
+// the downstream edges (last pass) or in the PE-local buffer the next
+// fused pass reads, so fused intermediates never touch a FIFO. When pass 0
+// is a two-input join (eltwise-add or concat — only ever pass 0), the
+// module has a second in-port and reads the second operand's frame from it
+// after the first, in the layer's `inputs` order.
 //
-// Convolution passes run the packed OC-contiguous microkernel
-// (nn/kernels.hpp) over the pass's resident weight pack: one kernel call
-// per output row spans every output channel, the kernels' SIMD axis.
+// Windowed passes index the zero-padded frame in place with the golden
+// reference's tap arithmetic: tap (ky, kx) of output row oy starts at
+// (oy*stride + ky)*in_w + kx and advances `stride` per output column. The
+// paper's memory subsystem (§3.2: one filter per window access, FIFOs sized
+// to the spatial distance between accesses) is the hardware that delivers
+// exactly these taps; hw::MemoryPipelinePlan, the resource model, HLS
+// codegen and sim::element_sim own it, and the functional executor computes
+// the values it delivers.
+//
+// Weighted passes share one body. Convolution accumulates into a
+// point-major tile over every output channel, seeded with the bias and
+// walking the input channels in ascending order, so the accumulation order
+// matches the golden reference bit-for-bit (input channel outer, window
+// row, window column); it runs the packed OC-contiguous microkernel
+// (nn/kernels.hpp), one call per output row spanning every output channel,
+// the kernels' SIMD axis. An inner product is a 1x1 convolution (paper
+// §3.3 step 4): one map point, every output neuron a channel, one
+// multiply-accumulate stream over the flattened input into every neuron at
+// once over the transposed GEMV pack.
 //
 // The plan's parallel_out (the paper's intra-layer unfolding over output
 // maps) and parallel_in (replicated filter chains) degrees are hardware
@@ -29,37 +40,34 @@
 // depends on either, so the executor's results and host work are the same
 // at any degree.
 //
-// ClassifierPeModule implements fully-connected layers as single-input/
-// single-output 1x1-convolution PEs (paper §3.3 step 4): no memory
-// subsystem, weights resident on chip (packed once per compiled design
-// into the transposed GEMV layout), one multiply-accumulate stream over the
-// flattened input into every output neuron at once.
-//
 // Fixed-point datapath (plan data_type fixed16/fixed8, see nn/numeric.hpp):
 // blob streams carry integer codes stored in float words (|code| < 2^15 is
 // exact in a float mantissa; the padded frame's zero border is code 0, so
 // the window indexing is numeric-type agnostic). Each blob's dynamic
 // Q-format travels in-band as the header word of its frame
 // (dataflow/frame.hpp). Fused passes keep the intermediate format in a
-// PE-local variable next to the PE-local intermediate blob. PEs MAC
-// their passes' resident weight codes (quantized with the same
-// nn/numeric.hpp helpers the QuantizedEngine uses) against raw input codes
-// in a widened integer accumulator, and requantize the full output blob at
-// every pass boundary — bit-exact against nn::QuantizedEngine by
+// PE-local variable next to the PE-local intermediate blob. Weighted passes
+// MAC their resident weight codes (quantized with the same nn/numeric.hpp
+// helpers the QuantizedEngine uses) against raw input codes in a widened
+// integer accumulator; pooling reduces codes exactly in int64; joins mirror
+// nn::fixed_eltwise_add (an exact realign to the finer operand format) and
+// nn::fixed_concat (each operand dequantized with its own format). Every
+// pass ends in the canonical boundary step, requantizing its full value
+// blob with one fresh format — bit-exact against nn::QuantizedEngine by
 // construction.
 //
 // Zero-allocation steady state: every per-image buffer (retained blobs,
-// padded frame, accumulator tile, dequantize/requantize scratch) is a module member
-// that persists across images AND across run_batch calls (the executor's
-// compiled design owns the modules for its whole life). Buffers resize to
-// each pass's needs; once a warmup batch has grown them to their high-water
-// capacity no later image touches the heap.
+// join operand, padded frame, accumulator tile, requantize scratch) is a
+// module member that persists across images AND across run_batch calls
+// (the executor's compiled design owns the modules for its whole life).
+// Buffers resize to each pass's needs; once a warmup batch has grown them
+// to their high-water capacity no later image touches the heap.
 //
 // Weight residency extends the same ownership rule to the weights
 // themselves: every weighted pass carries its packed (and, on fixed
 // datapaths, quantized) blocks in LayerPass::resident, derived once per
-// compiled design by build_pe_program (dataflow/program.hpp). Both PE kinds
-// read them as const data, so every image AND every run_batch over the
+// compiled design by build_pe_program (dataflow/program.hpp). The module
+// reads them as const data, so every image AND every run_batch over the
 // same design runs entirely from the resident copy and the warm path moves
 // zero weight bytes (RunStats.weight_bytes_streamed counts the proof).
 // Residency is invalidated with the design: plan and WeightStore are
@@ -70,7 +78,7 @@
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
+#include <tuple>
 #include <vector>
 
 #include "dataflow/fifo.hpp"
@@ -81,40 +89,44 @@
 
 namespace condor::dataflow {
 
-class FeaturePeModule final : public Module {
+class PeModule final : public Module {
  public:
-  /// `in` is the PE's inter-PE input edge: one pass-0 input blob per image
+  /// `in` lists the PE's in-ports in the layer's `inputs` order — one, or
+  /// two when pass 0 is a join — each carrying one frame per image
   /// (unpadded, (c, y, x) order); `out` lists the PE's out-edges. The
   /// program's weighted passes carry their resident weights.
-  FeaturePeModule(std::string name, const PeProgram& program, Stream& in,
-                  OutEdges out,
-                  nn::DataType data_type = nn::DataType::kFloat32)
+  PeModule(std::string name, const PeProgram& program, std::vector<Stream*> in,
+           OutEdges out, nn::DataType data_type)
       : Module(std::move(name)),
         program_(program),
         data_type_(data_type),
-        in_(in),
+        fixed_(nn::is_fixed_point(data_type)),
+        in_(std::move(in)),
         out_(std::move(out)) {}
 
   Fire fire(const RunContext& ctx) override;
 
  private:
-  // The pass helpers are nested firings (Fire coroutines co_awaited by the
-  // body): a stream suspension inside a helper suspends the whole module
-  // firing at that innermost point.
+  /// Computes `pass` over the retained blob (and, for a join, the second
+  /// operand) into out_blob_: the activated values, before the boundary
+  /// step. `frac` is the retained blob's format on the fixed datapaths.
+  void compute(const LayerPass& pass, int frac);
 
-  Fire run_pass(const LayerPass& pass, PassSink sink);
+  /// Convolution and inner product: seed → accumulate → dequantize and
+  /// activate into (oc, point) order. T/Acc: float/float on float32,
+  /// int32 codes into int64 (fixed16) or int32 (fixed8) accumulators —
+  /// see nn/kernels.hpp.
+  template <typename T, typename Acc>
+  void run_weighted(const LayerPass& pass, int in_frac);
 
-  /// Fixed-point pass: codes in, codes out. `in_frac` is the input blob's
-  /// format; the requantized output blob's format lands in `out_frac` (and,
-  /// on an edge sink, in the frame's header word).
-  Fire run_pass_fixed(const LayerPass& pass, PassSink sink, int in_frac,
-                      int& out_frac);
+  /// Pooling over the padded frame, reducing in `Sum`: float on float32,
+  /// exact int64 over codes on the fixed datapaths.
+  template <typename Sum>
+  void run_pooling(const LayerPass& pass, int in_frac);
 
-  /// The convolution body of run_pass_fixed, templated over the widened
-  /// accumulator (int64 for fixed16, int32 for fixed8 — see nn/kernels.hpp).
-  template <typename Acc>
-  Fire run_conv_pass_fixed(const LayerPass& pass, PassSink sink, int in_frac,
-                           int& out_frac);
+  /// The value a blob word carries: the word itself on float32, its code
+  /// dequantized with `frac` on the fixed datapaths.
+  [[nodiscard]] float value_of(float word, int frac) const noexcept;
 
   /// The retained input blob in the pass's padded frame (in_channels x
   /// in_h x in_w): fused_prev_ itself when the pass has no padding, else
@@ -126,91 +138,37 @@ class FeaturePeModule final : public Module {
   void gather_local_map(const LayerPass& pass, std::size_t channel,
                         std::span<float> map) const noexcept;
 
-  /// The accumulator tile of the fixed conv path, selected by the widened
-  /// accumulator type.
-  template <typename Acc>
-  std::vector<Acc>& fixed_acc() noexcept {
-    if constexpr (std::is_same_v<Acc, std::int64_t>) {
-      return acc64_;
-    } else {
-      return acc32_;
-    }
-  }
-
   const PeProgram& program_;
   nn::DataType data_type_;
-  Stream& in_;
+  bool fixed_;  ///< fixed16 / fixed8: blob words carry integer codes
+  std::vector<Stream*> in_;
   OutEdges out_;
 
   // --- steady-state scratch arena (see the header comment) ---------------
   std::vector<float> padded_;                  ///< padded frame (pad > 0)
   std::vector<std::int32_t> frame_codes_;      ///< fixed: frame as codes
-  std::vector<float> acc_;                     ///< float conv acc tile
-  std::vector<std::int64_t> acc64_;            ///< fixed16 conv acc tile
-  std::vector<std::int32_t> acc32_;            ///< fixed8 conv acc tile
-  std::vector<const float*> taps_;             ///< float tap pointers
-  std::vector<const std::int32_t*> taps_fixed_;
-  std::vector<float> out_blob_;                ///< activated output / values
+  /// Accumulator tiles, one per (T, Acc) instantiation of run_weighted.
+  std::tuple<std::vector<float>, std::vector<std::int64_t>,
+             std::vector<std::int32_t>>
+      acc_;
+  /// Conv tap pointers into the float frame or the code frame.
+  std::tuple<std::vector<const float*>, std::vector<const std::int32_t*>>
+      taps_;
+  std::vector<float> out_blob_;                ///< activated output values
   std::vector<float> map_;
   std::vector<std::int32_t> emit_codes_;       ///< requantize scratch
   std::vector<float> emit_blob_;               ///< fixed: staged frame
-  /// The current pass's input blob — the edge's blob for pass 0, the
-  /// previous pass's output for every later pass — retained PE-locally in
-  /// exactly the byte sequence a stream carries ((c, y, x) order; fixed
-  /// datapaths: codes in float words). A fused pass's output lands whole
-  /// in fused_next_, swapped in per fused pass; assign() keeps the
-  /// high-water capacity, so the warm steady state stays off the heap.
+  /// A join's second operand (port 1) and its format.
+  std::vector<float> operand_;
+  int operand_frac_ = 0;
+  /// The current pass's input blob — port 0's blob for pass 0, the previous
+  /// pass's output for every later pass — retained PE-locally in exactly
+  /// the byte sequence a stream carries ((c, y, x) order; fixed datapaths:
+  /// codes in float words). A fused pass's output lands whole in
+  /// fused_next_, swapped in per fused pass; assign() keeps the high-water
+  /// capacity, so the warm steady state stays off the heap.
   std::vector<float> fused_prev_;
   std::vector<float> fused_next_;
-};
-
-class ClassifierPeModule final : public Module {
- public:
-  /// `out` lists the PE's out-edges. The program's inner-product passes
-  /// carry their resident weights, so the classifier's parameters stay
-  /// chip-resident across the batch AND across batches.
-  ClassifierPeModule(std::string name, const PeProgram& program, Stream& in,
-                     OutEdges out,
-                     nn::DataType data_type = nn::DataType::kFloat32)
-      : Module(std::move(name)),
-        program_(program),
-        data_type_(data_type),
-        in_(in),
-        out_(std::move(out)) {}
-
-  Fire fire(const RunContext& ctx) override;
-
- private:
-  /// The fixed-point batch loop, templated over the widened accumulator
-  /// (int64 for fixed16, int32 for fixed8). A nested firing (see
-  /// FeaturePeModule).
-  template <typename Acc>
-  Fire run_fixed(const RunContext& ctx);
-
-  /// Accumulator scratch of the fixed path, selected by the widened
-  /// accumulator type.
-  template <typename Acc>
-  std::vector<Acc>& fixed_acc() noexcept {
-    if constexpr (std::is_same_v<Acc, std::int64_t>) {
-      return acc64_;
-    } else {
-      return acc32_;
-    }
-  }
-
-  const PeProgram& program_;
-  nn::DataType data_type_;
-  Stream& in_;
-  OutEdges out_;
-
-  // --- steady-state scratch (persists across batches) --------------------
-  std::vector<float> words_;                        ///< fixed: input, frame
-  std::vector<float> current_;
-  std::vector<float> next_;
-  std::vector<std::int32_t> codes_;                 ///< fixed: current blob
-  std::vector<float> values_;
-  std::vector<std::int64_t> acc64_;
-  std::vector<std::int32_t> acc32_;
 };
 
 }  // namespace condor::dataflow

@@ -37,10 +37,16 @@ enum class PassKind {
   kPooling,
   kElementwise,
   kInnerProduct,
-  kEltwiseAdd,  ///< two-input join: element-wise sum (join PEs only)
-  kConcat,      ///< two-input join: channel concatenation (join PEs only)
+  kEltwiseAdd,  ///< two-input join: element-wise sum
+  kConcat,      ///< two-input join: channel concatenation
   kUpsample,    ///< nearest-neighbour spatial replication by `scale`
 };
+
+/// A two-input join pass: it reads its second operand from the PE's second
+/// in-port, so it only ever runs as a PE's pass 0.
+[[nodiscard]] constexpr bool is_join(PassKind kind) noexcept {
+  return kind == PassKind::kEltwiseAdd || kind == PassKind::kConcat;
+}
 
 /// Chip-resident weight blocks of one weighted pass, in the layout the
 /// pass's microkernel reads: convolution (ic, ky, kx, oc), inner product

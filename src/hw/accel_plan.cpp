@@ -112,7 +112,8 @@ Result<AcceleratorPlan> plan_accelerator(
     // A layer may ride along inside the PE planned immediately before it
     // only when it consumes that PE's tail stream and nothing else taps it:
     // in a DAG, adjacency in topological order alone is not enough. Join
-    // PEs never host extra passes — their module computes one merge.
+    // PEs never host extra passes — the hardware join process (HLS
+    // codegen's two-stream merge loop) computes one merge.
     const bool chains_from_last_pe =
         prods.size() == 1 && !plan.pes.empty() &&
         pe_of_layer[prods.front()] == plan.pes.size() - 1 &&

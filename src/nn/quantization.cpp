@@ -199,7 +199,8 @@ Result<FixedBlob> fixed_eltwise_add(const LayerSpec& layer, const FixedBlob& a,
   // Realign both operands to the finer of the two dynamic formats — an
   // exact shift left in int64 — then add: the sum carries frac = max(fa,fb)
   // and feeds the canonical dequantize→activate→requantize boundary step.
-  // The executor's JoinModule mirrors this arithmetic exactly.
+  // The executor's PE module mirrors this arithmetic exactly in its
+  // eltwise-add pass.
   const int common = std::max(a.frac_bits, b.frac_bits);
   std::vector<std::int64_t> raw(a.codes.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {

@@ -7,11 +7,12 @@
 // replica count — so repeat sessions for the same model must skip it. The
 // cache keys entries by (network fingerprint, data_type, instances), where
 // the fingerprint digests the topology and the weight bytes, and hands out
-// shared_ptr entries: the pool inside is the shared_ptr<const> plan/weights
-// residency from the executor layer, so N concurrent sessions share one
-// compiled design and one resident weight image. Eviction is LRU; an entry
-// still referenced by a session stays alive through its shared_ptr even
-// after eviction.
+// shared_ptr entries: the pool inside holds the plan and the WeightStore as
+// shared_ptr<const>, so N concurrent sessions share one plan and one copy of
+// the weights. Each of the pool's replicas still compiles its own design and
+// derives its own resident weight blocks on its first run. Eviction is LRU;
+// an entry still referenced by a session stays alive through its shared_ptr
+// even after eviction.
 //
 // Cloud deployments can also pin the AFI id a plan was staged under on the
 // entry (`afi_id`), so a warm hit skips the create-fpga-image round trip

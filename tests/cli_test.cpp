@@ -243,6 +243,16 @@ TEST(Cli, ValidateReportsWeightsLatchedOnce) {
       << result.out;
 }
 
+TEST(Cli, ValidateReportsFifoWrites) {
+  // One frame per edge per image, each the producer's whole blob: TC1's
+  // input 1*16*16 + conv1 6*14*14 + pool1 6*7*7 + conv2 12*4*4 + pool2
+  // 12*2*2 + ip1 10 = 1976 words per image on float32 (no header word).
+  const CliRun result = run({"validate", "--model", "tc1", "--batch", "2"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("FIFO writes: 3952 words\n"), std::string::npos)
+      << result.out;
+}
+
 TEST(Cli, ValidateFixedLeNet) {
   const CliRun result = run(
       {"validate", "--model", "lenet", "--batch", "1", "--data-type", "fixed16"});

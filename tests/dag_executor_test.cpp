@@ -128,6 +128,35 @@ TEST(DagExecutor, TinyResnetPlanHasJoinPeAndOperandPorts) {
   }
 }
 
+TEST(DagExecutor, JoinAfterPassZeroIsRejectedAtCompile) {
+  // A join reads its second operand from a PE in-port, so it can only be a
+  // PE's first pass. The planner never fuses a join behind another layer; a
+  // plan that does must fail when the design compiles.
+  const nn::Network network = nn::make_lenet_skip();
+  auto weights = nn::initialize_weights(network, 7);
+  ASSERT_TRUE(weights.is_ok()) << weights.status().to_string();
+  auto plan = hw::plan_accelerator(hw::with_default_annotations(network));
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  hw::AcceleratorPlan fused = plan.value();
+  const auto join =
+      std::find_if(fused.pes.begin(), fused.pes.end(), [](const hw::PePlan& pe) {
+        return pe.kind == hw::PeKind::kJoin;
+      });
+  ASSERT_NE(join, fused.pes.end());
+  ASSERT_NE(join, fused.pes.begin());
+  std::prev(join)->layer_indices.push_back(join->layer_indices.front());
+
+  auto executor =
+      dataflow::AcceleratorExecutor::create(std::move(fused), weights.value());
+  ASSERT_TRUE(executor.is_ok()) << executor.status().to_string();
+  auto outputs =
+      executor.value().run_batch(testing::random_inputs(network, 1, 11));
+  ASSERT_FALSE(outputs.is_ok());
+  EXPECT_NE(outputs.status().to_string().find("a join may only be the first"),
+            std::string::npos)
+      << outputs.status().to_string();
+}
+
 TEST(DagExecutor, WarmRunsStreamNoWeightBytes) {
   const nn::Network network = nn::make_tiny_resnet();
   auto weights = nn::initialize_weights(network, 107);

@@ -176,32 +176,41 @@ TEST(DataflowExecutor, FusedFeatureLayersMatchReference) {
 }
 
 TEST(DataflowExecutor, FusedClassifierLayersMatchReference) {
-  // Cluster ip1+ip2 onto one classifier PE — exercises the multi-pass
-  // ClassifierPeModule.
+  // Cluster ip1+ip2 onto one PE — exercises a multi-pass inner-product
+  // program and, on the fixed datapaths, the PE-local requantization
+  // between its two passes. The QuantizedEngine is the oracle on every
+  // datapath (it delegates to the golden reference on float32).
   const nn::Network network = nn::make_lenet();
-  hw::HwNetwork hw_net = hw::with_default_annotations(network);
-  hw_net.hw.layers[5].pe_group = 4;  // ip1
-  hw_net.hw.layers[6].pe_group = 4;  // ip2
-
   auto weights = nn::initialize_weights(network, 71);
   ASSERT_TRUE(weights.is_ok());
-  auto engine = nn::ReferenceEngine::create(network, weights.value());
-  ASSERT_TRUE(engine.is_ok());
-  auto plan = hw::plan_accelerator(hw_net);
-  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
-  ASSERT_EQ(plan.value().pes.size(), 5u);  // 4 feature + 1 fused classifier
-  ASSERT_EQ(plan.value().pes.back().layer_indices.size(), 2u);
-
-  auto executor =
-      dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
-  ASSERT_TRUE(executor.is_ok());
   const auto inputs = testing::random_inputs(network, 2, 73);
-  auto outputs = executor.value().run_batch(inputs);
-  ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_EQ(max_abs_diff(outputs.value()[i],
-                           engine.value().forward(inputs[i]).value()),
-              0.0F);
+  for (const nn::DataType data_type :
+       {nn::DataType::kFloat32, nn::DataType::kFixed16,
+        nn::DataType::kFixed8}) {
+    SCOPED_TRACE(std::string(nn::to_string(data_type)));
+    hw::HwNetwork hw_net = hw::with_default_annotations(network);
+    hw_net.hw.data_type = data_type;
+    hw_net.hw.layers[5].pe_group = 4;  // ip1
+    hw_net.hw.layers[6].pe_group = 4;  // ip2
+
+    auto engine =
+        nn::QuantizedEngine::create(network, weights.value(), data_type);
+    ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+    auto plan = hw::plan_accelerator(hw_net);
+    ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+    ASSERT_EQ(plan.value().pes.size(), 5u);  // 4 feature + 1 fused classifier
+    ASSERT_EQ(plan.value().pes.back().layer_indices.size(), 2u);
+
+    auto executor =
+        dataflow::AcceleratorExecutor::create(plan.value(), weights.value());
+    ASSERT_TRUE(executor.is_ok());
+    auto outputs = executor.value().run_batch(inputs);
+    ASSERT_TRUE(outputs.is_ok()) << outputs.status().to_string();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      auto expected = engine.value().forward(inputs[i]);
+      ASSERT_TRUE(expected.is_ok()) << expected.status().to_string();
+      EXPECT_EQ(max_abs_diff(outputs.value()[i], expected.value()), 0.0F);
+    }
   }
 }
 
