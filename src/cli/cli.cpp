@@ -580,6 +580,11 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
       "images in flight (peak): %llu\n",
       static_cast<unsigned long long>(run_stats.weight_bytes_streamed),
       static_cast<unsigned long long>(run_stats.images_in_flight_hwm));
+  // Every resident weight block of the compiled design, at the width its
+  // kernel reads.
+  out << strings::format(
+      "resident weights: %llu bytes\n",
+      static_cast<unsigned long long>(run_stats.resident_weight_bytes));
   const std::vector<dataflow::InstanceUtilization>& utilization =
       pool.value().utilization();
   for (std::size_t i = 0; i < utilization.size(); ++i) {

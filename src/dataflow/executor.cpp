@@ -64,6 +64,7 @@ Status AcceleratorExecutor::build_design() {
       design->fused_local_passes += program.passes.size() - 1;
     }
     design->weight_bytes += program.weight_elements() * sizeof(float);
+    design->resident_bytes += program.resident_bytes();
     design->programs.push_back(std::move(program));
   }
   const std::vector<PeProgram>& programs = design->programs;
@@ -246,6 +247,7 @@ Result<std::vector<Tensor>> AcceleratorExecutor::run_batch(
   stats_.images_in_flight_hwm =
       design_->telemetry.images_in_flight_hwm.load(std::memory_order_relaxed);
   stats_.fused_local_passes = design_->fused_local_passes;
+  stats_.resident_weight_bytes = design_->resident_bytes;
 
   if (!run_status.is_ok()) {
     // A failed run leaves streams partially drained; drop the instance so

@@ -59,6 +59,10 @@ struct RunStats {
   /// total on the run that compiles the design, zero on every warm run —
   /// the residency proof the tests assert on.
   std::uint64_t weight_bytes_streamed = 0;
+  /// Bytes of every resident weight block of the compiled design, in the
+  /// layouts the kernels read (a property of the design, reported on every
+  /// run).
+  std::uint64_t resident_weight_bytes = 0;
   /// High-water mark of images simultaneously in flight between the input
   /// mover and the output collector (>= 2 proves consecutive images
   /// overlapped in the pipeline).
@@ -123,6 +127,8 @@ class AcceleratorExecutor {
     std::size_t fused_local_passes = 0;
     /// Weight bytes the programs latched on chip at compilation.
     std::uint64_t weight_bytes = 0;
+    /// RunStats::resident_weight_bytes of every run of this design.
+    std::uint64_t resident_bytes = 0;
     /// Image-framing counters maintained by the datamover halves.
     RunTelemetry telemetry;
   };

@@ -153,8 +153,14 @@ void PeModule::gather_local_map(const LayerPass& pass, std::size_t channel,
   }
 }
 
-template <typename T, typename Acc>
+template <nn::DataType D>
 void PeModule::run_weighted(const LayerPass& pass, int in_frac) {
+  constexpr bool kFloat = D == nn::DataType::kFloat32;
+  using T = std::conditional_t<kFloat, float, std::int32_t>;
+  using Acc = std::conditional_t<
+      kFloat, float,
+      std::conditional_t<D == nn::DataType::kFixed16, std::int64_t,
+                         std::int32_t>>;
   const ResidentWeights& resident = pass.resident;
   const bool conv = pass.kind == PassKind::kConvolution;
   const std::size_t oc_total = conv ? pass.out_channels : pass.output_elements();
@@ -168,7 +174,7 @@ void PeModule::run_weighted(const LayerPass& pass, int in_frac) {
   const T* frame = nullptr;
   const T* packed = nullptr;
   int acc_frac = 0;
-  if constexpr (std::is_same_v<T, float>) {
+  if constexpr (kFloat) {
     frame = padded_frame(pass).data();
     packed = resident.packed.data();
   } else {
@@ -187,7 +193,7 @@ void PeModule::run_weighted(const LayerPass& pass, int in_frac) {
   for (std::size_t oc = 0; oc < oc_total; ++oc) {
     if (!pass.has_bias) {
       acc[oc] = Acc{0};
-    } else if constexpr (std::is_same_v<T, float>) {
+    } else if constexpr (kFloat) {
       acc[oc] = resident.bias[oc];
     } else {
       acc[oc] = static_cast<Acc>(nn::realign_code(
@@ -201,6 +207,10 @@ void PeModule::run_weighted(const LayerPass& pass, int in_frac) {
     std::vector<const T*>& taps = std::get<std::vector<const T*>>(taps_);
     taps.resize(pass.window_h * pass.window_w);
     accumulate_conv(pass, frame, packed, acc.data(), taps.data());
+  } else if constexpr (inner_product_uses_pair_blocks(D)) {
+    nn::kernels::fixed8_inner_product_accumulate(
+        acc.data(), oc_total, frame, pass.input_elements(),
+        resident.pair_blocks.data());
   } else {
     nn::kernels::inner_product_accumulate(acc.data(), oc_total, frame,
                                           pass.input_elements(), packed,
@@ -267,11 +277,11 @@ void PeModule::compute(const LayerPass& pass, int frac) {
     case PassKind::kConvolution:
     case PassKind::kInnerProduct:
       if (!fixed_) {
-        run_weighted<float, float>(pass, frac);
+        run_weighted<nn::DataType::kFloat32>(pass, frac);
       } else if (data_type_ == nn::DataType::kFixed16) {
-        run_weighted<std::int32_t, std::int64_t>(pass, frac);
+        run_weighted<nn::DataType::kFixed16>(pass, frac);
       } else {
-        run_weighted<std::int32_t, std::int32_t>(pass, frac);
+        run_weighted<nn::DataType::kFixed8>(pass, frac);
       }
       return;
 

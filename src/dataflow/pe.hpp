@@ -30,7 +30,8 @@
 // the kernels' SIMD axis. An inner product is a 1x1 convolution (paper
 // §3.3 step 4): one map point, every output neuron a channel, one
 // multiply-accumulate stream over the flattened input into every neuron at
-// once over the transposed GEMV pack.
+// once over the transposed GEMV pack (fixed8: over its 8-bit row-pair
+// blocks, nn/kernels.hpp).
 //
 // The plan's parallel_out (the paper's intra-layer unfolding over output
 // maps) and parallel_in (replicated filter chains) degrees are hardware
@@ -112,11 +113,11 @@ class PeModule final : public Module {
   /// step. `frac` is the retained blob's format on the fixed datapaths.
   void compute(const LayerPass& pass, int frac);
 
-  /// Convolution and inner product: seed → accumulate → dequantize and
-  /// activate into (oc, point) order. T/Acc: float/float on float32,
-  /// int32 codes into int64 (fixed16) or int32 (fixed8) accumulators —
-  /// see nn/kernels.hpp.
-  template <typename T, typename Acc>
+  /// Convolution and inner product on datapath D: seed → accumulate →
+  /// dequantize and activate into (oc, point) order. Float words into float
+  /// accumulators on float32, int32 codes into int64 (fixed16) or int32
+  /// (fixed8) accumulators — see nn/kernels.hpp.
+  template <nn::DataType D>
   void run_weighted(const LayerPass& pass, int in_frac);
 
   /// Pooling over the padded frame, reducing in `Sum`: float on float32,
@@ -147,7 +148,7 @@ class PeModule final : public Module {
   // --- steady-state scratch arena (see the header comment) ---------------
   std::vector<float> padded_;                  ///< padded frame (pad > 0)
   std::vector<std::int32_t> frame_codes_;      ///< fixed: frame as codes
-  /// Accumulator tiles, one per (T, Acc) instantiation of run_weighted.
+  /// Accumulator tiles, one per accumulator type of run_weighted.
   std::tuple<std::vector<float>, std::vector<std::int64_t>,
              std::vector<std::int32_t>>
       acc_;

@@ -26,26 +26,35 @@ std::vector<T> pack_for_pass(const LayerPass& pass,
 
 /// Derives `pass`'s resident blocks from its parameters: a pure function of
 /// the immutable WeightStore slice and the datapath.
-void derive_resident_weights(LayerPass& pass, nn::DataType data_type) {
+Status derive_resident_weights(LayerPass& pass, nn::DataType data_type) {
   const nn::LayerParameters& params = *pass.params;
   ResidentWeights& resident = pass.resident;
   if (!nn::is_fixed_point(data_type)) {
     resident.packed = pack_for_pass(pass, params.weights.data());
     resident.bias.assign(params.bias.data().begin(), params.bias.data().end());
-    return;
+    return Status::ok();
   }
   const int bits = nn::total_bits(data_type);
   std::vector<std::int32_t> codes;
   resident.weight_frac =
       nn::quantize_span(params.weights.data(), bits, codes).frac_bits;
-  resident.packed_codes =
-      pack_for_pass(pass, std::span<const std::int32_t>(codes));
+  if (pass.kind == PassKind::kInnerProduct &&
+      inner_product_uses_pair_blocks(data_type)) {
+    CONDOR_ASSIGN_OR_RETURN(resident.pair_blocks,
+                            nn::kernels::pack_fixed8_inner_product(
+                                codes, pass.output_elements(),
+                                pass.input_elements()));
+  } else {
+    resident.packed_codes =
+        pack_for_pass(pass, std::span<const std::int32_t>(codes));
+  }
   resident.bias_frac = bits - 1;
   if (pass.has_bias) {
     resident.bias_frac =
         nn::quantize_span(params.bias.data(), bits, resident.bias_codes)
             .frac_bits;
   }
+  return Status::ok();
 }
 
 }  // namespace
@@ -67,6 +76,14 @@ std::size_t PeProgram::weight_elements() const noexcept {
       continue;
     }
     total += pass.params->weights.size() + pass.params->bias.size();
+  }
+  return total;
+}
+
+std::size_t PeProgram::resident_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const LayerPass& pass : passes) {
+    total += pass.resident.bytes();
   }
   return total;
 }
@@ -180,7 +197,7 @@ Result<PeProgram> build_pe_program(const hw::AcceleratorPlan& plan,
             layer.name.c_str(), std::string(nn::to_string(layer.kind)).c_str()));
     }
     if (pass.params != nullptr) {
-      derive_resident_weights(pass, plan.data_type());
+      CONDOR_RETURN_IF_ERROR(derive_resident_weights(pass, plan.data_type()));
     }
     program.passes.push_back(std::move(pass));
   }

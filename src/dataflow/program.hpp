@@ -28,6 +28,7 @@
 #include "common/status.hpp"
 #include "hw/accel_plan.hpp"
 #include "nn/network.hpp"
+#include "nn/numeric.hpp"
 #include "nn/weights.hpp"
 
 namespace condor::dataflow {
@@ -48,20 +49,38 @@ enum class PassKind {
   return kind == PassKind::kEltwiseAdd || kind == PassKind::kConcat;
 }
 
+/// Whether the inner product on `data_type` keeps its weights as 8-bit row
+/// pairs (ResidentWeights::pair_blocks) instead of a packed block: the one
+/// test that both the block derivation and the PE's kernel choice read.
+[[nodiscard]] constexpr bool inner_product_uses_pair_blocks(
+    nn::DataType data_type) noexcept {
+  return data_type == nn::DataType::kFixed8;
+}
+
 /// Chip-resident weight blocks of one weighted pass, in the layout the
 /// pass's microkernel reads: convolution (ic, ky, kx, oc), inner product
-/// transposed (in, out) — output channel innermost either way. The float
-/// datapath fills `packed` and `bias`; the fixed datapaths fill the code
-/// blocks, quantized with the QuantizedEngine's per-blob dynamic formats
-/// (one over the full weight tensor, one over the bias), so the codes are
-/// identical by construction.
+/// transposed (in, out) — output channel innermost either way — except the
+/// fixed8 inner product, which keeps its codes at the datapath's own width
+/// as 8-bit row pairs in 64-output blocks (nn/kernels.hpp,
+/// pack_fixed8_inner_product). The float datapath fills `packed` and
+/// `bias`; the fixed datapaths fill the code blocks, quantized with the
+/// QuantizedEngine's per-blob dynamic formats (one over the full weight
+/// tensor, one over the bias), so the codes are identical by construction.
 struct ResidentWeights {
   std::vector<float> packed;               ///< float: packed weights
   std::vector<float> bias;                 ///< float: raw bias seeds
   std::vector<std::int32_t> packed_codes;  ///< fixed: packed weight codes
+  std::vector<std::int8_t> pair_blocks;    ///< fixed8 inner product
   std::vector<std::int32_t> bias_codes;    ///< fixed: bias codes
   int weight_frac = 0;
   int bias_frac = 0;
+
+  /// Bytes of every block above: what the pass holds on chip.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return (packed.size() + bias.size()) * sizeof(float) +
+           (packed_codes.size() + bias_codes.size()) * sizeof(std::int32_t) +
+           pair_blocks.size();
+  }
 };
 
 /// One fused layer's geometry and parameters as seen by the dataflow
@@ -110,6 +129,10 @@ struct PeProgram {
   /// weights plus the biases), once per compiled design; warm runs move
   /// none (weight residency — see pe.hpp).
   [[nodiscard]] std::size_t weight_elements() const noexcept;
+
+  /// Bytes of every weighted pass's resident blocks, in the layouts the
+  /// kernels read.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
   /// Elements the PE reads from its input edge per image (pass 0 input,
   /// unpadded).

@@ -1,5 +1,8 @@
 #include "nn/kernels.hpp"
 
+#include <cstdint>
+
+#include "common/strings.hpp"
 #include "nn/kernels_simd_internal.hpp"
 
 namespace condor::nn::kernels {
@@ -64,6 +67,64 @@ std::vector<T> unpack_inner_product_weights(std::span<const T> packed,
   return weights;
 }
 
+namespace {
+
+/// Byte index of w[o][h] in pack_fixed8_inner_product's layout.
+std::size_t fixed8_weight_index(std::size_t out_count, std::size_t in_count,
+                                std::size_t o, std::size_t h) noexcept {
+  const std::size_t first = o - o % detail::kFixed8BlockOutputs;
+  const std::size_t width = detail::fixed8_block_width(out_count, first);
+  return detail::fixed8_block_offset(first, in_count) + h / 2 * 2 * width +
+         2 * (o - first) + h % 2;
+}
+
+}  // namespace
+
+Result<std::vector<std::int8_t>> pack_fixed8_inner_product(
+    std::span<const std::int32_t> codes, std::size_t out_count,
+    std::size_t in_count) {
+  if (codes.size() != out_count * in_count) {
+    return internal_error(strings::format(
+        "fixed8 inner product: %zu weight codes for %zu x %zu weights",
+        codes.size(), out_count, in_count));
+  }
+  // Every block ends where the next would start, the last one included.
+  const std::size_t last =
+      out_count == 0 ? 0
+                     : (out_count - 1) / detail::kFixed8BlockOutputs *
+                           detail::kFixed8BlockOutputs;
+  const std::size_t padded =
+      out_count == 0 ? 0 : last + detail::fixed8_block_width(out_count, last);
+  std::vector<std::int8_t> blocks(
+      detail::fixed8_block_offset(padded, in_count));
+  for (std::size_t o = 0; o < out_count; ++o) {
+    for (std::size_t h = 0; h < in_count; ++h) {
+      const std::int32_t code = codes[o * in_count + h];
+      if (code < INT8_MIN || code > INT8_MAX) {
+        return internal_error(strings::format(
+            "fixed8 weight code %d (output %zu, input %zu) lies outside int8",
+            code, o, h));
+      }
+      blocks[fixed8_weight_index(out_count, in_count, o, h)] =
+          static_cast<std::int8_t>(code);
+    }
+  }
+  return blocks;
+}
+
+std::vector<std::int32_t> unpack_fixed8_inner_product(
+    std::span<const std::int8_t> blocks, std::size_t out_count,
+    std::size_t in_count) {
+  std::vector<std::int32_t> codes(out_count * in_count);
+  for (std::size_t o = 0; o < out_count; ++o) {
+    for (std::size_t h = 0; h < in_count; ++h) {
+      codes[o * in_count + h] =
+          blocks[fixed8_weight_index(out_count, in_count, o, h)];
+    }
+  }
+  return codes;
+}
+
 namespace detail {
 namespace {
 
@@ -102,6 +163,26 @@ void scalar_inner_product(Acc* acc, std::size_t out_count,
   }
 }
 
+/// Block by block, row pair by row pair, over the live lanes only; an odd
+/// last row's partner code is zero.
+void scalar_fixed8_inner_product(std::int32_t* acc, std::size_t out_count,
+                                 const std::int32_t* x, std::size_t in_count,
+                                 const std::int8_t* blocks) {
+  for (std::size_t first = 0; first < out_count; first += kFixed8BlockOutputs) {
+    const std::size_t width = fixed8_block_width(out_count, first);
+    const std::size_t lanes = std::min(width, out_count - first);
+    const std::int8_t* w = blocks + fixed8_block_offset(first, in_count);
+    std::int32_t* __restrict a = acc + first;
+    for (std::size_t h = 0; h < in_count; h += 2, w += 2 * width) {
+      const std::int32_t x0 = x[h];
+      const std::int32_t x1 = h + 1 < in_count ? x[h + 1] : 0;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        a[j] += w[2 * j] * x0 + w[2 * j + 1] * x1;
+      }
+    }
+  }
+}
+
 /// choose_format's max-abs scan, fused with quantize_span's per-element
 /// loop when `codes` is given.
 float scalar_quantize(const float* values, std::size_t count, double scale,
@@ -125,7 +206,7 @@ const IsaKernels& scalar_kernels() noexcept {
       &scalar_conv_row<std::int32_t, std::int32_t>,
       &scalar_inner_product<float, float>,
       &scalar_inner_product<std::int32_t, std::int64_t>,
-      &scalar_inner_product<std::int32_t, std::int32_t>,
+      &scalar_fixed8_inner_product,
       &scalar_quantize,
   };
   return kTable;
@@ -148,6 +229,13 @@ void inner_product_accumulate(Acc* acc, std::size_t out_count,
                               const T* packed, std::size_t packed_stride) {
   detail::active_inner_product<T, Acc>()(acc, out_count, x, in_count, packed,
                                          packed_stride);
+}
+
+void fixed8_inner_product_accumulate(std::int32_t* acc, std::size_t out_count,
+                                     const std::int32_t* x,
+                                     std::size_t in_count,
+                                     const std::int8_t* blocks) {
+  detail::active_fixed8_inner_product()(acc, out_count, x, in_count, blocks);
 }
 
 // Explicit instantiations — the only (T, Acc) combinations the datapaths
@@ -186,9 +274,6 @@ template void inner_product_accumulate<float, float>(
     float*, std::size_t, const float*, std::size_t, const float*, std::size_t);
 template void inner_product_accumulate<std::int32_t, std::int64_t>(
     std::int64_t*, std::size_t, const std::int32_t*, std::size_t,
-    const std::int32_t*, std::size_t);
-template void inner_product_accumulate<std::int32_t, std::int32_t>(
-    std::int32_t*, std::size_t, const std::int32_t*, std::size_t,
     const std::int32_t*, std::size_t);
 
 }  // namespace condor::nn::kernels

@@ -22,14 +22,20 @@
 //   fixed16 datapath: T = std::int32_t, Acc = std::int64_t  (codes; a
 //                     16x16-bit product needs 30 bits, int32 would overflow
 //                     mid-sum)
-//   fixed8  datapath: T = std::int32_t, Acc = std::int32_t  (widened int32)
+//   fixed8  datapath: T = std::int32_t, Acc = std::int32_t  (widened int32;
+//                     convolution only)
 //
-// The fixed8 instantiation requires every tap code and weight to fit int16
+// The fixed8 convolution requires every tap code and weight to fit int16
 // (fixed8 codes lie in [-128, 127]). Its SIMD levels multiply two taps per
-// instruction: the weights of taps t and t+1 (rows h and h+1 of the inner
-// product) are interleaved on the fly into int16 pairs, the matching input
-// codes are broadcast as one pair, and pmaddwd sums both products into each
-// int32 lane. The packed layout is the same for every datapath.
+// instruction: the int32 weights of taps t and t+1 are interleaved on the
+// fly into int16 pairs, the matching input codes are broadcast as one pair,
+// and pmaddwd sums both products into each int32 lane.
+//
+// The fixed8 inner product stores its weights at the datapath's own width
+// instead (fixed8_inner_product_accumulate below): 8-bit (w[h][j],
+// w[h+1][j]) row pairs in 64-output blocks, so each row pair is one
+// sign-extending load and one pmaddwd per vector, against accumulators held
+// in registers across the whole input sweep.
 //
 // Only these combinations are instantiated (explicitly, in kernels.cpp,
 // which is compiled -O3 — the templates have no inline definitions here so
@@ -48,6 +54,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/status.hpp"
 
 namespace condor::nn::kernels {
 
@@ -114,10 +122,43 @@ void conv_accumulate_row(Acc* acc, std::size_t oc_count, std::size_t out_w,
 ///
 /// `acc` must be seeded (bias or zero) by the caller; adds arrive in
 /// ascending-h order, matching the scalar row-dot-product chain exactly.
-/// Precondition for T = Acc = int32 (fixed8): x and the weights fit int16.
+/// Instantiated for float and fixed16; fixed8 has its own narrow kernel.
 template <typename T, typename Acc>
 void inner_product_accumulate(Acc* acc, std::size_t out_count,
                               const T* x, std::size_t in_count,
                               const T* packed, std::size_t packed_stride);
+
+/// Packs row-major (out, in) fixed8 weight codes into the 8-bit row-pair
+/// blocks fixed8_inner_product_accumulate reads. Block b holds outputs
+/// [64b, 64b + width_b), width_b = 64 except for the last block, whose
+/// width is the remaining output count rounded up to 16. For each row pair
+/// (h, h+1), h even, a block holds width_b consecutive (w[h][j], w[h+1][j])
+/// int8 pairs; the blocks follow each other, each row pair at a stride of
+/// 2 * width_b bytes. An odd last row pairs with a zero weight, and the
+/// padding lanes past out_count hold zero weights. Fails with an internal
+/// error when a code lies outside int8 (the codes come from a fixed8
+/// quantization; nothing is wrapped).
+Result<std::vector<std::int8_t>> pack_fixed8_inner_product(
+    std::span<const std::int32_t> codes, std::size_t out_count,
+    std::size_t in_count);
+
+/// Inverse of pack_fixed8_inner_product: the canonical (out, in) codes.
+std::vector<std::int32_t> unpack_fixed8_inner_product(
+    std::span<const std::int8_t> blocks, std::size_t out_count,
+    std::size_t in_count);
+
+/// fixed8 inner-product update over `out_count` outputs from the blocks of
+/// pack_fixed8_inner_product:
+///
+///   acc[j] += x[h] * w[j][h]   for h in [0, in_count), j in [0, out_count)
+///
+/// `acc` must be seeded by the caller. Integer sums are exact, so the
+/// result does not depend on the add order. Precondition: the x codes fit
+/// int16. The odd last row's partner code is zero, whatever its padding
+/// weight, and no lane past out_count is read or written in `acc`.
+void fixed8_inner_product_accumulate(std::int32_t* acc, std::size_t out_count,
+                                     const std::int32_t* x,
+                                     std::size_t in_count,
+                                     const std::int8_t* blocks);
 
 }  // namespace condor::nn::kernels

@@ -67,7 +67,7 @@ void ActiveKernels::install(SimdLevel requested) noexcept {
   conv_i32_i32.store(table->conv_i32_i32, std::memory_order_relaxed);
   ip_f32.store(table->ip_f32, std::memory_order_relaxed);
   ip_i32_i64.store(table->ip_i32_i64, std::memory_order_relaxed);
-  ip_i32_i32.store(table->ip_i32_i32, std::memory_order_relaxed);
+  ip_fixed8.store(table->ip_fixed8, std::memory_order_relaxed);
   quantize.store(table->quantize, std::memory_order_relaxed);
   level.store(lvl, std::memory_order_release);
 }
@@ -180,6 +180,15 @@ InnerProductFn<T, Acc> inner_product_kernel(SimdLevel level) noexcept {
                           : nullptr;
 }
 
+Fixed8InnerProductFn fixed8_inner_product_kernel(SimdLevel level) noexcept {
+  if (static_cast<int>(level) >
+      static_cast<int>(max_supported_simd_level())) {
+    return nullptr;
+  }
+  const detail::IsaKernels* table = table_for(level);
+  return table != nullptr ? table->ip_fixed8 : nullptr;
+}
+
 template ConvRowFn<float, float> conv_row_kernel<float, float>(
     SimdLevel) noexcept;
 template ConvRowFn<std::int32_t, std::int64_t>
@@ -190,7 +199,5 @@ template InnerProductFn<float, float> inner_product_kernel<float, float>(
     SimdLevel) noexcept;
 template InnerProductFn<std::int32_t, std::int64_t>
 inner_product_kernel<std::int32_t, std::int64_t>(SimdLevel) noexcept;
-template InnerProductFn<std::int32_t, std::int32_t>
-inner_product_kernel<std::int32_t, std::int32_t>(SimdLevel) noexcept;
 
 }  // namespace condor::nn::kernels

@@ -11,8 +11,10 @@
 //   avx512   512-bit variants (kernels_simd_avx512.cpp, -mavx512f -mavx512bw
 //            per file; the level needs a CPU with both AVX512F and AVX512BW)
 //
-// The fixed8 (int32, int32) MAC kernels run two taps per pmaddwd on int16
-// pairs (see nn/kernels.hpp); the float and fixed16 kernels run one tap
+// The fixed8 convolution kernel runs two taps per pmaddwd, pairing its int32
+// weight lanes into int16 on the fly; the fixed8 inner product reads 8-bit
+// row-pair blocks and sign-extends each pair straight into the pmaddwd
+// operand (see nn/kernels.hpp). The float and fixed16 kernels run one tap
 // per multiply. The quantize kernel fuses the max-abs scan with the
 // per-element quantize_scaled step (exact power-of-two multiply, then a
 // separate +-0.5 add, truncation, clamp; NaN maps to code 0).
@@ -89,14 +91,22 @@ using InnerProductFn = void (*)(Acc* acc, std::size_t out_count, const T* x,
                                 std::size_t in_count, const T* packed,
                                 std::size_t packed_stride);
 
+using Fixed8InnerProductFn = void (*)(std::int32_t* acc, std::size_t out_count,
+                                      const std::int32_t* x,
+                                      std::size_t in_count,
+                                      const std::int8_t* blocks);
+
 /// The kernel implementing `level`, or nullptr when that level is not
-/// available (not compiled in, or the CPU lacks the ISA). Instantiated for
-/// the three datapath combinations: (float, float), (int32, int64) and
-/// (int32, int32). Tests iterate levels through these to exercise every
-/// variant regardless of the active dispatch.
+/// available (not compiled in, or the CPU lacks the ISA). The convolution
+/// kernels are instantiated for the three datapath combinations: (float,
+/// float), (int32, int64) and (int32, int32); the wide inner products for
+/// (float, float) and (int32, int64), and fixed8 has its own. Tests iterate
+/// levels through these to exercise every variant regardless of the active
+/// dispatch.
 template <typename T, typename Acc>
 ConvRowFn<T, Acc> conv_row_kernel(SimdLevel level) noexcept;
 template <typename T, typename Acc>
 InnerProductFn<T, Acc> inner_product_kernel(SimdLevel level) noexcept;
+Fixed8InnerProductFn fixed8_inner_product_kernel(SimdLevel level) noexcept;
 
 }  // namespace condor::nn::kernels

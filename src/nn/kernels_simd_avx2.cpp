@@ -64,8 +64,9 @@ struct I64Avx2 {
   }
 };
 
-/// fixed8 datapath: int16 tap pairs through pmaddwd (see
-/// fixed8_conv_tile), 8 int32 lanes, tails through vpmaskmovd.
+/// fixed8 datapath: int16 tap and row pairs through pmaddwd (see
+/// fixed8_conv_tile and fixed8_ip_block), 8 int32 lanes, tails through
+/// vpmaskmovd.
 struct Fixed8Avx2 {
   using Vec = __m256i;
   using Mask = __m256i;
@@ -88,6 +89,10 @@ struct Fixed8Avx2 {
   }
   static Vec pair(Vec lo, Vec hi) noexcept {
     return _mm256_blend_epi16(lo, _mm256_slli_epi32(hi, 16), 0xAA);
+  }
+  static Vec load_pairs(const std::int8_t* p) noexcept {
+    return _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
   static Vec splat(std::int32_t xp) noexcept { return _mm256_set1_epi32(xp); }
   static Vec madd(Vec acc, Vec w, Vec x) noexcept {
@@ -128,11 +133,9 @@ void ip_i32_i64(std::int64_t* acc, std::size_t out_count,
   inner_product_impl<I64Avx2>(acc, out_count, x, in_count, packed,
                               packed_stride);
 }
-void ip_i32_i32(std::int32_t* acc, std::size_t out_count,
-                const std::int32_t* x, std::size_t in_count,
-                const std::int32_t* packed, std::size_t packed_stride) {
-  fixed8_inner_product_impl<Fixed8Avx2>(acc, out_count, x, in_count, packed,
-                                        packed_stride);
+void ip_fixed8(std::int32_t* acc, std::size_t out_count, const std::int32_t* x,
+               std::size_t in_count, const std::int8_t* blocks) {
+  fixed8_inner_product_impl<Fixed8Avx2>(acc, out_count, x, in_count, blocks);
 }
 
 /// quantize_scaled on 4 lanes: multiply by the power of two, add -0.5
@@ -181,7 +184,7 @@ float quantize(const float* values, std::size_t count, double scale,
 const IsaKernels* avx2_kernels() noexcept {
   static const IsaKernels kTable = {
       &conv_f32, &conv_i32_i64, &conv_i32_i32, &ip_f32,
-      &ip_i32_i64, &ip_i32_i32, &quantize,
+      &ip_i32_i64, &ip_fixed8, &quantize,
   };
   return &kTable;
 }

@@ -1,6 +1,7 @@
 // AVX-512 variants of the packed MAC microkernels and the quantize kernel,
 // compiled with -mavx512f -mavx512bw -ffp-contract=off (BW for the 512-bit
-// vpmaddwd and 16-bit blends of the fixed8 kernels; no VL dependence). Same
+// vpmaddwd, vpmovsxbw and 16-bit blends of the fixed8 kernels; no VL
+// dependence). Same
 // structure and bit-exactness contract as the AVX2 unit; the wider registers
 // double the j-lane count per MAC. Getter returns nullptr when the
 // toolchain cannot target AVX-512 F and BW.
@@ -59,8 +60,9 @@ struct I64Avx512 {
   }
 };
 
-/// fixed8 datapath: int16 tap pairs through vpmaddwd (see
-/// fixed8_conv_tile), 16 int32 lanes, tails through mask registers.
+/// fixed8 datapath: int16 tap and row pairs through vpmaddwd (see
+/// fixed8_conv_tile and fixed8_ip_block), 16 int32 lanes, tails through
+/// mask registers.
 struct Fixed8Avx512 {
   using Vec = __m512i;
   using Mask = __mmask16;
@@ -82,6 +84,10 @@ struct Fixed8Avx512 {
   }
   static Vec pair(Vec lo, Vec hi) noexcept {
     return _mm512_mask_blend_epi16(0xAAAAAAAAU, lo, _mm512_slli_epi32(hi, 16));
+  }
+  static Vec load_pairs(const std::int8_t* p) noexcept {
+    return _mm512_cvtepi8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
   }
   static Vec splat(std::int32_t xp) noexcept { return _mm512_set1_epi32(xp); }
   static Vec madd(Vec acc, Vec w, Vec x) noexcept {
@@ -122,11 +128,9 @@ void ip_i32_i64(std::int64_t* acc, std::size_t out_count,
   inner_product_impl<I64Avx512>(acc, out_count, x, in_count, packed,
                                 packed_stride);
 }
-void ip_i32_i32(std::int32_t* acc, std::size_t out_count,
-                const std::int32_t* x, std::size_t in_count,
-                const std::int32_t* packed, std::size_t packed_stride) {
-  fixed8_inner_product_impl<Fixed8Avx512>(acc, out_count, x, in_count,
-                                          packed, packed_stride);
+void ip_fixed8(std::int32_t* acc, std::size_t out_count, const std::int32_t* x,
+               std::size_t in_count, const std::int8_t* blocks) {
+  fixed8_inner_product_impl<Fixed8Avx512>(acc, out_count, x, in_count, blocks);
 }
 
 /// quantize_scaled on 8 lanes: multiply by the power of two, add -0.5
@@ -173,7 +177,7 @@ float quantize(const float* values, std::size_t count, double scale,
 const IsaKernels* avx512_kernels() noexcept {
   static const IsaKernels kTable = {
       &conv_f32, &conv_i32_i64, &conv_i32_i32, &ip_f32,
-      &ip_i32_i64, &ip_i32_i32, &quantize,
+      &ip_i32_i64, &ip_fixed8, &quantize,
   };
   return &kTable;
 }

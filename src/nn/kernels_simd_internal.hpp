@@ -3,12 +3,14 @@
 // translation units. Not part of the public kernel API.
 //
 // Each ISA translation unit exports one IsaKernels table of seven raw entry
-// points: the two MAC kernels for each of the three type combinations, plus
-// the layer-boundary quantize kernel. The getters return nullptr when the
-// variant is not compiled in (non-x86 target, or the compiler lacks the
-// flag). The generic register-blocked loop bodies live here as templates
-// over a Traits type so the AVX2 and AVX-512 units share one
-// implementation, each instantiated under its own per-file ISA flags.
+// points: the convolution kernel for each of the three type combinations,
+// the float and fixed16 inner products, the fixed8 inner product on 8-bit
+// row-pair blocks, and the layer-boundary quantize kernel. The getters
+// return nullptr when the variant is not compiled in (non-x86 target, or
+// the compiler lacks the flag). The generic register-blocked loop bodies
+// live here as templates over a Traits type so the AVX2 and AVX-512 units
+// share one implementation, each instantiated under its own per-file ISA
+// flags.
 #pragma once
 
 #include <algorithm>
@@ -66,7 +68,7 @@ struct IsaKernels {
   ConvRowFn<std::int32_t, std::int32_t> conv_i32_i32 = nullptr;
   InnerProductFn<float, float> ip_f32 = nullptr;
   InnerProductFn<std::int32_t, std::int64_t> ip_i32_i64 = nullptr;
-  InnerProductFn<std::int32_t, std::int32_t> ip_i32_i32 = nullptr;
+  Fixed8InnerProductFn ip_fixed8 = nullptr;
   QuantizeFn quantize = nullptr;
 };
 
@@ -92,10 +94,9 @@ constexpr InnerProductFn<T, Acc> inner_product_entry(
     const IsaKernels& k) noexcept {
   if constexpr (std::is_same_v<T, float>) {
     return k.ip_f32;
-  } else if constexpr (std::is_same_v<Acc, std::int64_t>) {
-    return k.ip_i32_i64;
   } else {
-    return k.ip_i32_i32;
+    static_assert(std::is_same_v<Acc, std::int64_t>);
+    return k.ip_i32_i64;
   }
 }
 
@@ -114,7 +115,7 @@ struct ActiveKernels {
   std::atomic<ConvRowFn<std::int32_t, std::int32_t>> conv_i32_i32{nullptr};
   std::atomic<InnerProductFn<float, float>> ip_f32{nullptr};
   std::atomic<InnerProductFn<std::int32_t, std::int64_t>> ip_i32_i64{nullptr};
-  std::atomic<InnerProductFn<std::int32_t, std::int32_t>> ip_i32_i32{nullptr};
+  std::atomic<Fixed8InnerProductFn> ip_fixed8{nullptr};
   std::atomic<QuantizeFn> quantize{nullptr};
 };
 
@@ -136,11 +137,13 @@ inline InnerProductFn<T, Acc> active_inner_product() noexcept {
   ActiveKernels& a = active_kernels();
   if constexpr (std::is_same_v<T, float>) {
     return a.ip_f32.load(std::memory_order_relaxed);
-  } else if constexpr (std::is_same_v<Acc, std::int64_t>) {
-    return a.ip_i32_i64.load(std::memory_order_relaxed);
   } else {
-    return a.ip_i32_i32.load(std::memory_order_relaxed);
+    static_assert(std::is_same_v<Acc, std::int64_t>);
+    return a.ip_i32_i64.load(std::memory_order_relaxed);
   }
+}
+inline Fixed8InnerProductFn active_fixed8_inner_product() noexcept {
+  return active_kernels().ip_fixed8.load(std::memory_order_relaxed);
 }
 
 inline QuantizeFn active_quantize() noexcept {
@@ -323,23 +326,25 @@ void inner_product_impl(typename Tr::Acc* acc, std::size_t out_count,
 }
 
 // ---------------------------------------------------------------------------
-// fixed8 datapath (T = Acc = int32): two taps per multiply.
+// fixed8 datapath: two taps (or two input rows) per multiply.
 //
-// fixed8 codes fit int16, so the MAC runs on int16 pairs: the weights of
-// taps t and t+1 (rows h and h+1 for the inner product) of the unchanged
-// packed layout are interleaved on the fly into one vector of int16 pairs,
-// the matching input codes are broadcast as one (x_t, x_t+1) pair, and one
-// pmaddwd forms w_t * x_t + w_t+1 * x_t+1 in every int32 lane. Integer sums
-// are exact and wrap identically at any order, so every level stays
-// byte-equal to scalar. An odd last tap pairs with a zero code: the
-// sign-extended int32 weight lane already holds the code in its low half.
-// Output-channel tails run as masked vectors. Tr provides:
+// fixed8 codes fit int16, so the MAC runs on int16 pairs: one pmaddwd forms
+// w_t * x_t + w_t+1 * x_t+1 in every int32 lane against the matching input
+// codes broadcast as one (x_t, x_t+1) pair. The convolution (T = Acc =
+// int32) interleaves the int32 weight lanes of taps t and t+1 of the
+// unchanged packed layout on the fly; the inner product reads its weights
+// already paired, as 8-bit (w[h][j], w[h+1][j]) row pairs that one
+// sign-extending load widens into the int16 pairs. Integer sums are exact
+// and wrap identically at any order, so every level stays byte-equal to
+// scalar. An odd last tap or row pairs with a zero code. Output-channel
+// tails run as masked vectors. Tr provides:
 //
 //   Vec, Mask, kWidth          int32 lanes per vector
-//   tail_mask(n)               the first n < kWidth lanes
+//   tail_mask(n)               the first n <= kWidth lanes
 //   load(p) / load(p, m)       plain / masked int32 loads (masked lanes 0)
 //   store(p, v) / store(p, v, m)
 //   pair(lo, hi)               int32 lanes -> int16 pairs (lo_k, hi_k)
+//   load_pairs(p)              kWidth int8 pairs at p -> int16 pairs
 //   splat(xp)                  broadcast one packed input pair
 //   madd(acc, w, x)            acc + pmaddwd(w, x)
 // ---------------------------------------------------------------------------
@@ -493,37 +498,116 @@ void fixed8_conv_row_impl(std::int32_t* acc, std::size_t oc_count,
   }
 }
 
-/// Row pairs outermost: each (h, h+1) pair streams its two weight rows once
-/// across the whole `acc` tile, which stays cache-resident. (Register
-/// blocking over h would walk each weight column at twice the row stride,
-/// past what the hardware stride prefetcher follows.)
+/// Outputs per fixed8 inner-product block, and the lane quantum the last,
+/// narrower block rounds up to (nn/kernels.hpp, pack_fixed8_inner_product).
+inline constexpr std::size_t kFixed8BlockOutputs = 64;
+inline constexpr std::size_t kFixed8BlockQuantum = 16;
+
+/// Lanes of the block that starts at output `first`.
+inline std::size_t fixed8_block_width(std::size_t out_count,
+                                      std::size_t first) noexcept {
+  const std::size_t rest = out_count - first;
+  return rest >= kFixed8BlockOutputs
+             ? kFixed8BlockOutputs
+             : (rest + kFixed8BlockQuantum - 1) / kFixed8BlockQuantum *
+                   kFixed8BlockQuantum;
+}
+
+/// Byte offset of the block that starts at output `first`: every earlier
+/// block is kFixed8BlockOutputs wide and holds one int8 pair per lane per
+/// row pair.
+inline std::size_t fixed8_block_offset(std::size_t first,
+                                       std::size_t in_count) noexcept {
+  return first * 2 * ((in_count + 1) / 2);
+}
+
+/// One block of kVecs vectors (64 or the narrower last block's lanes) over
+/// every row pair, its accumulators held in registers from the first pair to
+/// the last. `lanes` outputs are live; with kTail the accumulator loads and
+/// stores are masked to them.
+template <typename Tr, std::size_t kVecs, bool kTail>
+void fixed8_ip_block(std::int32_t* acc, std::size_t lanes,
+                     const std::int32_t* x, std::size_t in_count,
+                     const std::int8_t* w) {
+  using Vec = typename Tr::Vec;
+  constexpr std::size_t W = Tr::kWidth;
+  constexpr std::size_t kPairStride = 2 * kVecs * W;
+  const auto live = [lanes](std::size_t k) {
+    const std::size_t skip = k * Tr::kWidth;
+    return Tr::tail_mask(
+        lanes > skip ? std::min<std::size_t>(lanes - skip, Tr::kWidth) : 0);
+  };
+  Vec v[kVecs];
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    if constexpr (kTail) {
+      v[k] = Tr::load(acc + k * W, live(k));
+    } else {
+      v[k] = Tr::load(acc + k * W);
+    }
+  }
+  std::size_t h = 0;
+  for (; h + 1 < in_count; h += 2, w += kPairStride) {
+    const Vec xv = Tr::splat(pack_code_pair(x[h], x[h + 1]));
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      v[k] = Tr::madd(v[k], Tr::load_pairs(w + 2 * k * W), xv);
+    }
+  }
+  if (h < in_count) {
+    const Vec xv = Tr::splat(pack_code_pair(x[h], 0));
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kVecs; ++k) {
+      v[k] = Tr::madd(v[k], Tr::load_pairs(w + 2 * k * W), xv);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < kVecs; ++k) {
+    if constexpr (kTail) {
+      Tr::store(acc + k * W, v[k], live(k));
+    } else {
+      Tr::store(acc + k * W, v[k]);
+    }
+  }
+}
+
+/// The last block, `vecs` <= kVecs vectors wide. Its width is a multiple of
+/// kFixed8BlockQuantum, so only those vector counts are instantiated.
+template <typename Tr, std::size_t kVecs>
+void fixed8_ip_last_block(std::size_t vecs, std::int32_t* acc,
+                          std::size_t lanes, const std::int32_t* x,
+                          std::size_t in_count, const std::int8_t* w) {
+  static_assert(kFixed8BlockQuantum % Tr::kWidth == 0);
+  constexpr std::size_t kStep = kFixed8BlockQuantum / Tr::kWidth;
+  if constexpr (kVecs > kStep) {
+    if (vecs < kVecs) {
+      fixed8_ip_last_block<Tr, kVecs - kStep>(vecs, acc, lanes, x, in_count,
+                                              w);
+      return;
+    }
+  }
+  fixed8_ip_block<Tr, kVecs, true>(acc, lanes, x, in_count, w);
+}
+
+/// Blocks outermost: each block's weights stream once, contiguously, while
+/// its 64 accumulators stay in registers.
 template <typename Tr>
 void fixed8_inner_product_impl(std::int32_t* acc, std::size_t out_count,
                                const std::int32_t* x, std::size_t in_count,
-                               const std::int32_t* packed,
-                               std::size_t packed_stride) {
-  using Vec = typename Tr::Vec;
-  constexpr std::size_t W = Tr::kWidth;
-  const std::size_t full = out_count - out_count % W;
-  const typename Tr::Mask tail = Tr::tail_mask(out_count - full);
-  for (std::size_t h = 0; h < in_count; h += 2) {
-    const std::int32_t* const w0 = packed + h * packed_stride;
-    // An odd last row pairs with a zero code; its weight lane is used as is.
-    const bool paired = h + 1 < in_count;
-    const std::int32_t* const w1 = paired ? w0 + packed_stride : nullptr;
-    const Vec xv = Tr::splat(pack_code_pair(x[h], paired ? x[h + 1] : 0));
-    std::size_t j = 0;
-    for (; j < full; j += W) {
-      const Vec w = paired ? Tr::pair(Tr::load(w0 + j), Tr::load(w1 + j))
-                           : Tr::load(w0 + j);
-      Tr::store(acc + j, Tr::madd(Tr::load(acc + j), w, xv));
-    }
-    if (j < out_count) {
-      const Vec w = paired ? Tr::pair(Tr::load(w0 + j, tail),
-                                      Tr::load(w1 + j, tail))
-                           : Tr::load(w0 + j, tail);
-      Tr::store(acc + j, Tr::madd(Tr::load(acc + j, tail), w, xv), tail);
-    }
+                               const std::int8_t* blocks) {
+  constexpr std::size_t kVecs = kFixed8BlockOutputs / Tr::kWidth;
+  std::size_t first = 0;
+  for (; first + kFixed8BlockOutputs <= out_count;
+       first += kFixed8BlockOutputs) {
+    fixed8_ip_block<Tr, kVecs, false>(
+        acc + first, kFixed8BlockOutputs, x, in_count,
+        blocks + fixed8_block_offset(first, in_count));
+  }
+  if (first < out_count) {
+    fixed8_ip_last_block<Tr, kVecs>(
+        fixed8_block_width(out_count, first) / Tr::kWidth, acc + first,
+        out_count - first, x, in_count,
+        blocks + fixed8_block_offset(first, in_count));
   }
 }
 

@@ -1,7 +1,5 @@
 #include "nn/layer.hpp"
 
-#include <cmath>
-
 #include "common/strings.hpp"
 
 namespace condor::nn {
@@ -195,22 +193,6 @@ std::uint64_t layer_flops(const LayerSpec& layer, const Shape& input,
       return 0;
   }
   return 0;
-}
-
-float apply_activation(Activation activation, float x) noexcept {
-  switch (activation) {
-    case Activation::kNone:
-      return x;
-    case Activation::kReLU:
-      return x > 0.0F ? x : 0.0F;
-    case Activation::kSigmoid:
-      return 1.0F / (1.0F + std::exp(-x));
-    case Activation::kTanH:
-      return std::tanh(x);
-    case Activation::kLeakyReLU:
-      return x > 0.0F ? x : kLeakyReluSlope * x;
-  }
-  return x;
 }
 
 }  // namespace condor::nn

@@ -8,6 +8,7 @@
 // reference.cpp.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -118,7 +119,22 @@ Result<std::size_t> window_output_extent(std::size_t input, std::size_t kernel,
 std::uint64_t layer_flops(const LayerSpec& layer, const Shape& input,
                           const Shape& output) noexcept;
 
-/// Applies an activation function to a single value.
-float apply_activation(Activation activation, float x) noexcept;
+/// Applies an activation function to a single value. Inline: every pass
+/// boundary of both engines and every PE pass calls it once per element.
+inline float apply_activation(Activation activation, float x) noexcept {
+  switch (activation) {
+    case Activation::kNone:
+      return x;
+    case Activation::kReLU:
+      return x > 0.0F ? x : 0.0F;
+    case Activation::kSigmoid:
+      return 1.0F / (1.0F + std::exp(-x));
+    case Activation::kTanH:
+      return std::tanh(x);
+    case Activation::kLeakyReLU:
+      return x > 0.0F ? x : kLeakyReluSlope * x;
+  }
+  return x;
+}
 
 }  // namespace condor::nn

@@ -253,6 +253,25 @@ TEST(Cli, ValidateReportsFifoWrites) {
       << result.out;
 }
 
+TEST(Cli, ValidateReportsResidentWeightBytes) {
+  // float32 keeps every weight and bias as a 4-byte word: LeNet's 431,080
+  // parameters. fixed8 keeps the convolutions' codes and every bias code in
+  // int32 words (25,500 + 580) and the inner products' codes as 8-bit row
+  // pairs in 64-output blocks: ip1 400 row pairs x 512 lanes x 2 bytes, ip2
+  // 250 x 16 x 2.
+  const CliRun wide = run({"validate", "--model", "lenet", "--batch", "1"});
+  EXPECT_EQ(wide.exit_code, 0) << wide.err;
+  EXPECT_NE(wide.out.find("resident weights: 1724320 bytes\n"),
+            std::string::npos)
+      << wide.out;
+  const CliRun narrow = run({"validate", "--model", "lenet", "--batch", "1",
+                             "--data-type", "fixed8"});
+  EXPECT_EQ(narrow.exit_code, 0) << narrow.err;
+  EXPECT_NE(narrow.out.find("resident weights: 521920 bytes\n"),
+            std::string::npos)
+      << narrow.out;
+}
+
 TEST(Cli, ValidateFixedLeNet) {
   const CliRun result = run(
       {"validate", "--model", "lenet", "--batch", "1", "--data-type", "fixed16"});

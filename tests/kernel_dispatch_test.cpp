@@ -6,7 +6,8 @@
 //     an edge-case shape grid (oc counts straddling the vector widths,
 //     out_w == 0, tap_count == 0, strided taps, empty inner products). The
 //     fixed8 int16-pair kernels get a denser grid at the int8 code extremes:
-//     unpaired last taps and rows, every oc count up to 67, lane slices.
+//     unpaired last taps and rows, every oc count up to 67, conv lane
+//     slices, and the inner product's 64-output block edges.
 //  2. Executor level — full accelerator runs of the same plan produce
 //     byte-identical outputs when the process dispatch is pinned to each
 //     available level (float32, fixed16 and fixed8 datapaths, at several
@@ -170,6 +171,49 @@ void check_inner_product_shape(std::size_t out_count,
   }
 }
 
+/// The fixed8 inner product over 8-bit row-pair blocks
+/// (nn::kernels::pack_fixed8_inner_product's layout). Every block byte,
+/// padding included, is drawn from `source`, so a kernel that let an odd
+/// row's partner weight or a padding lane into a live sum diverges. x has
+/// one more code past in_count and acc a guard past out_count, both
+/// random: reading the first or writing the second shows up too.
+template <typename Source>
+void check_fixed8_inner_product_shape(std::size_t out_count,
+                                      std::size_t in_count, std::uint64_t seed,
+                                      Source source) {
+  constexpr std::size_t kGuard = 64;
+  Rng rng(seed);
+  const std::vector<std::int32_t> x = source(in_count + 1, rng);
+  auto layout = nn::kernels::pack_fixed8_inner_product(
+      std::vector<std::int32_t>(out_count * in_count, 0), out_count, in_count);
+  ASSERT_TRUE(layout.is_ok()) << layout.status().to_string();
+  std::vector<std::int8_t> blocks(
+      std::max<std::size_t>(layout.value().size(), 1));
+  const std::vector<std::int32_t> bytes = source(blocks.size(), rng);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    blocks[i] = static_cast<std::int8_t>(bytes[i]);
+  }
+  const std::vector<std::int32_t> seed_acc =
+      random_vector<std::int32_t>(out_count + kGuard, rng);
+
+  std::vector<std::int32_t> want = seed_acc;
+  nn::kernels::fixed8_inner_product_kernel(SimdLevel::kScalar)(
+      want.data(), out_count, x.data(), in_count, blocks.data());
+
+  for (const SimdLevel level : kAllLevels) {
+    const auto kernel = nn::kernels::fixed8_inner_product_kernel(level);
+    if (kernel == nullptr) {
+      continue;
+    }
+    std::vector<std::int32_t> got = seed_acc;
+    kernel(got.data(), out_count, x.data(), in_count, blocks.data());
+    SCOPED_TRACE(::testing::Message()
+                 << "level=" << nn::kernels::to_string(level)
+                 << " out=" << out_count << " in=" << in_count);
+    expect_bytes_equal(got, want, "fixed8_inner_product_accumulate");
+  }
+}
+
 template <typename T, typename Acc>
 void sweep_conv_shapes() {
   // oc counts straddle both vector widths (4/8 for AVX2, 8/16 for AVX-512)
@@ -265,8 +309,7 @@ TEST(KernelDispatch, ScalarKernelsAlwaysAvailable) {
             (nn::kernels::inner_product_kernel<std::int32_t, std::int64_t>(
                 SimdLevel::kScalar)));
   EXPECT_NE(nullptr,
-            (nn::kernels::inner_product_kernel<std::int32_t, std::int32_t>(
-                SimdLevel::kScalar)));
+            nn::kernels::fixed8_inner_product_kernel(SimdLevel::kScalar));
 }
 
 TEST(KernelDispatch, AvailabilityMatchesMaxSupported) {
@@ -278,6 +321,9 @@ TEST(KernelDispatch, AvailabilityMatchesMaxSupported) {
         << nn::kernels::to_string(level);
     EXPECT_EQ(expect_present,
               (nn::kernels::inner_product_kernel<float, float>(level)) != nullptr)
+        << nn::kernels::to_string(level);
+    EXPECT_EQ(expect_present,
+              nn::kernels::fixed8_inner_product_kernel(level) != nullptr)
         << nn::kernels::to_string(level);
   }
 }
@@ -337,17 +383,20 @@ TEST(KernelDispatch, ConvFixed8PairKernelsMatchScalarAtCodeExtremes) {
 }
 
 /// Odd and even input counts (an unpaired last row) over every output
-/// count up to 67, whole and sliced, at the fixed8 code extremes.
+/// count up to 67 and the block edges past it (two full blocks, a tail of
+/// one lane, LeNet's ip1 width), at the fixed8 code extremes.
 TEST(KernelDispatch, InnerProductFixed8PairKernelsMatchScalarAtCodeExtremes) {
   const std::size_t in_counts[] = {0, 1, 2, 3, 8, 37, 64, 129};
+  std::vector<std::size_t> out_counts;
+  for (std::size_t out = 1; out <= 67; ++out) {
+    out_counts.push_back(out);
+  }
+  out_counts.insert(out_counts.end(), {128, 129, 500});
   std::uint64_t seed = 9000;
   for (const CodeFill fill : kCodeFills) {
     for (const std::size_t in : in_counts) {
-      for (std::size_t out = 1; out <= 67; ++out) {
-        for (const std::size_t stride : {out, out + 5}) {
-          check_inner_product_shape<std::int32_t, std::int32_t>(
-              out, stride, in, seed++, codes_of(fill));
-        }
+      for (const std::size_t out : out_counts) {
+        check_fixed8_inner_product_shape(out, in, seed++, codes_of(fill));
       }
     }
   }
@@ -361,8 +410,20 @@ TEST(KernelDispatch, InnerProductFixed16MatchesScalarByteForByte) {
   sweep_inner_product_shapes<std::int32_t, std::int64_t>();
 }
 
+/// sweep_inner_product_shapes' grid on random codes, plus the block edges:
+/// one lane, a quantum either side of 16, a block either side of 64, two
+/// blocks, and LeNet's ip1 width.
 TEST(KernelDispatch, InnerProductFixed8MatchesScalarByteForByte) {
-  sweep_inner_product_shapes<std::int32_t, std::int32_t>();
+  const std::size_t out_counts[] = {1,  3,  4,  7,  8,  9,   15,  16,  17,
+                                    31, 33, 63, 64, 65, 67, 128, 129, 500};
+  const std::size_t in_counts[] = {0, 1, 2, 5, 37, 800};
+  std::uint64_t seed = 1000;
+  for (const std::size_t out : out_counts) {
+    for (const std::size_t in : in_counts) {
+      check_fixed8_inner_product_shape(out, in, seed++,
+                                       random_vector<std::int32_t>);
+    }
+  }
 }
 
 /// The public kernels.hpp entry points must follow the installed dispatch
@@ -491,6 +552,13 @@ TEST(KernelDispatch, LeNetFloatOutputsByteIdenticalAcrossLevels) {
 TEST(KernelDispatch, LeNetFixed16OutputsByteIdenticalAcrossLevels) {
   expect_executor_outputs_level_invariant(nn::make_lenet(),
                                           nn::DataType::kFixed16, 2, 1, 35);
+}
+
+/// ip1 (800 -> 500) runs seven full 64-output blocks and a 64-wide tail
+/// block of 52 live lanes; ip2 (500 -> 10) one 16-wide block.
+TEST(KernelDispatch, LeNetFixed8OutputsByteIdenticalAcrossLevels) {
+  expect_executor_outputs_level_invariant(nn::make_lenet(),
+                                          nn::DataType::kFixed8, 2, 2, 37);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Unit tests of the packed MAC microkernels (nn/kernels.hpp): weight
-// repack round trips and bit-exact equivalence of the packed kernels
-// against the plain scalar accumulation loops they replace.
+// repack round trips (the fixed8 inner product's 8-bit row-pair blocks
+// included, with their rejection of codes outside int8) and bit-exact
+// equivalence of the packed kernels against the plain scalar accumulation
+// loops they replace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -193,6 +196,97 @@ TEST(NnKernels, IntegerConvRowMatchesScalarLoop) {
     }
   }
   EXPECT_EQ(acc, expected);
+}
+
+/// Nonzero fixed8 codes: -128 and 127 among them, so a packer that let a
+/// code wrap or dropped one would show.
+std::vector<std::int32_t> nonzero_codes(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int32_t> codes(count);
+  for (std::int32_t& code : codes) {
+    code = static_cast<std::int32_t>(rng.next_u64() % 255U) - 128;
+    if (code >= 0) {
+      ++code;  // [-128, -1] and [1, 127]
+    }
+  }
+  if (count >= 2) {
+    codes[0] = -128;
+    codes[count - 1] = 127;
+  }
+  return codes;
+}
+
+TEST(NnKernels, Fixed8InnerProductPackRoundTrips) {
+  // Block edges around 16 and 64 lanes, odd and even input counts.
+  for (const std::size_t out_count : {1, 15, 16, 17, 63, 64, 65, 129, 500}) {
+    for (const std::size_t in_count : {1, 2, 7, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "out=" << out_count << " in=" << in_count);
+      const std::vector<std::int32_t> codes =
+          nonzero_codes(out_count * in_count, out_count * 31 + in_count);
+      auto blocks = pack_fixed8_inner_product(codes, out_count, in_count);
+      ASSERT_TRUE(blocks.is_ok()) << blocks.status().to_string();
+      // 64-lane blocks, the last rounded up to 16 lanes, each holding one
+      // int8 pair per lane per row pair.
+      const std::size_t full = out_count / 64 * 64;
+      const std::size_t padded =
+          out_count == full ? full : full + (out_count - full + 15) / 16 * 16;
+      EXPECT_EQ(blocks.value().size(), padded * 2 * ((in_count + 1) / 2));
+      // Padding (the odd row's partner, the lanes past out_count) is zero.
+      EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                    blocks.value().begin(), blocks.value().end(),
+                    [](std::int8_t b) { return b != 0; })),
+                codes.size());
+      EXPECT_EQ(
+          unpack_fixed8_inner_product(blocks.value(), out_count, in_count),
+          codes);
+    }
+  }
+}
+
+TEST(NnKernels, Fixed8InnerProductMatchesScalarDot) {
+  // The blocked kernel (at the active dispatch level) against plain row dot
+  // products over the canonical (out, in) codes.
+  for (const std::size_t out_count : {1, 17, 64, 65, 500}) {
+    for (const std::size_t in_count : {0, 1, 2, 31, 800}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "out=" << out_count << " in=" << in_count);
+      const std::vector<std::int32_t> codes =
+          nonzero_codes(out_count * in_count, out_count + 7 * in_count);
+      const std::vector<std::int32_t> x =
+          nonzero_codes(in_count, in_count + 3);
+      auto blocks = pack_fixed8_inner_product(codes, out_count, in_count);
+      ASSERT_TRUE(blocks.is_ok()) << blocks.status().to_string();
+      std::vector<std::int32_t> acc(out_count);
+      for (std::size_t j = 0; j < out_count; ++j) {
+        acc[j] = static_cast<std::int32_t>(j) - 40;  // bias seed
+      }
+      std::vector<std::int32_t> expected = acc;
+      fixed8_inner_product_accumulate(acc.data(), out_count, x.data(),
+                                      in_count, blocks.value().data());
+      for (std::size_t j = 0; j < out_count; ++j) {
+        for (std::size_t h = 0; h < in_count; ++h) {
+          expected[j] += codes[j * in_count + h] * x[h];
+        }
+      }
+      EXPECT_EQ(acc, expected);
+    }
+  }
+}
+
+TEST(NnKernels, Fixed8InnerProductPackRejectsCodesOutsideInt8) {
+  // A code one past either end of int8 is an error, never a wrapped byte.
+  for (const std::int32_t bad : {128, -129, 1 << 20}) {
+    std::vector<std::int32_t> codes(3 * 5, 1);
+    codes[7] = bad;
+    const auto blocks = pack_fixed8_inner_product(codes, 3, 5);
+    ASSERT_FALSE(blocks.is_ok()) << bad;
+    EXPECT_EQ(blocks.status().code(), StatusCode::kInternal);
+  }
+  // So is a code count that does not match the shape.
+  EXPECT_FALSE(
+      pack_fixed8_inner_product(std::vector<std::int32_t>(14, 1), 3, 5)
+          .is_ok());
 }
 
 }  // namespace

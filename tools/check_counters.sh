@@ -7,8 +7,8 @@
 # Runs `CONDOR_THREADS=1 condor validate --batch 8` over lenet, lenet_skip,
 # tiny_resnet and tc1 on the float32, fixed16 and fixed8 datapaths, keeps
 # the deterministic counter lines (the KPN census with its ring size, the
-# scheduler's fires and suspensions, the FIFO writes) and diffs them against
-# the checked-in BENCH_counters.txt. At one worker every counter is a pure
+# scheduler's fires and suspensions, the FIFO writes, the resident weight
+# bytes) and diffs them against the checked-in BENCH_counters.txt. At one worker every counter is a pure
 # function of the plan and the batch. --update rewrites the baseline
 # instead. The binary defaults to build/tools/condor.
 set -euo pipefail
@@ -39,7 +39,7 @@ counters() {
         echo "$out" >&2
         return 1
       fi
-      grep -E '^(KPN|scheduler|FIFO writes):' <<<"$out" |
+      grep -E '^(KPN|scheduler|FIFO writes|resident weights):' <<<"$out" |
         sed "s/^/$model $type: /"
     done
   done
