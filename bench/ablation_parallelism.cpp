@@ -32,11 +32,10 @@ void sweep(const nn::Network& features, std::size_t layer_index,
                   point.status().to_string().c_str());
       continue;
     }
-    // Name of the PE with the largest interval.
+    // Name of the PE with the largest service time.
     const hw::PeTiming* bottleneck = &point.value().performance.pes.front();
     for (const hw::PeTiming& pe : point.value().performance.pes) {
-      if (pe.interval() + pe.fill_latency >
-          bottleneck->interval() + bottleneck->fill_latency) {
+      if (pe.service_cycles() > bottleneck->service_cycles()) {
         bottleneck = &pe;
       }
     }

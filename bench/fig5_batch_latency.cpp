@@ -7,9 +7,9 @@
 // cases convergence is reached approximately when the batch size is bigger
 // than the total number of layers of the network".
 //
-// The curve comes from the event-driven pipeline simulation of the exact
-// deployments evaluated in Table 1 (TC1 @ 100 MHz, LeNet @ 180 MHz, no
-// parallel feature-map processing).
+// The curve comes from the batch timing of the PE pipeline
+// (sim::simulate_batch) for the exact deployments evaluated in Table 1
+// (TC1 @ 100 MHz, LeNet @ 180 MHz, no parallel feature-map processing).
 #include <cstdio>
 #include <vector>
 

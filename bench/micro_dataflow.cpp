@@ -1,11 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the engine substrate: FIFO
-// transfer calls and the scheduler's two-module hand-off, functional
-// accelerator execution vs the golden CPU reference, and the discrete-event
-// simulator's event rate.
+// transfer calls and the scheduler's two-module hand-off, and functional
+// accelerator execution vs the golden CPU reference.
 //
 // These quantify the *host-side* cost of the simulation infrastructure —
-// they are not device-performance claims (those come from the cycle
-// simulator in the table/figure benches).
+// they are not device-performance claims (those come from the hw models
+// and the batch timing in the table/figure benches).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "dataflow/executor.hpp"
 #include "dataflow/executor_pool.hpp"
@@ -27,7 +25,6 @@
 #include "nn/models.hpp"
 #include "nn/reference.hpp"
 #include "nn/weights.hpp"
-#include "sim/pipeline.hpp"
 #include "common/rng.hpp"
 
 namespace {
@@ -611,20 +608,6 @@ BENCHMARK(BM_AcceleratorInstances)
     // from dominating the instance-count comparison.
     ->MinTime(4.0)
     ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineSimulator(benchmark::State& state) {
-  const std::size_t stages = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::StageSpec> specs;
-  for (std::size_t s = 0; s < stages; ++s) {
-    specs.push_back({strings::format("s%zu", s), 100 + s * 17, 1});
-  }
-  for (auto _ : state) {
-    auto run = sim::simulate_pipeline(specs, 256);
-    benchmark::DoNotOptimize(run);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_PipelineSimulator)->Arg(6)->Arg(18);
 
 }  // namespace
 

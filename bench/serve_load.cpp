@@ -7,7 +7,7 @@
 // through the chunk-stealing runtime — which is where the speedup lives: a
 // lone request can never occupy more than one instance, a batch fills all
 // of them. Latency is measured in the device-time domain (virtual clock
-// over the pipeline simulation, like multi_slot_scaling), so the reported
+// over the pipeline's batch timing, like multi_slot_scaling), so the reported
 // p50/p99/img/s are deterministic for the seed and independent of the
 // simulation host. Every dispatched batch also executes functionally and
 // the demux is checked byte-for-byte against a direct run_batch.

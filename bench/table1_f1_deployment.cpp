@@ -3,7 +3,7 @@
 // Deploys TC1 and LeNet through the full Condor flow (Caffe fixture →
 // frontend → layer/network creation → simulated synthesis → xclbin → S3 →
 // AFI → F1 slot), then reports resource occupation, steady-state GFLOPS
-// (from the cycle-approximate pipeline simulation at the achieved clock)
+// (from the PE pipeline's batch timing at the achieved clock)
 // and power efficiency, next to the paper's published values.
 //
 // Configuration matches the paper's: "the generated network processes each

@@ -5,7 +5,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "dataflow/executor.hpp"
-#include "nn/reference.hpp"
+#include "nn/quantization.hpp"
 #include "sim/element_sim.hpp"
 
 namespace condor::hls {
@@ -33,10 +33,10 @@ Result<CosimReport> cosimulate(const hw::AcceleratorPlan& plan,
   CosimReport report;
   report.images = batch;
 
-  // -- Functional: KPN accelerator vs golden reference --------------------
+  // -- Functional: KPN accelerator vs the plan datapath's oracle -----------
   CONDOR_ASSIGN_OR_RETURN(
-      nn::ReferenceEngine engine,
-      nn::ReferenceEngine::create(plan.source.net, weights));
+      nn::QuantizedEngine engine,
+      nn::QuantizedEngine::create(plan.source.net, weights, plan.data_type()));
   CONDOR_ASSIGN_OR_RETURN(dataflow::AcceleratorExecutor executor,
                           dataflow::AcceleratorExecutor::create(plan, weights));
   const Shape& input_shape = plan.topology->input_shape();

@@ -4,13 +4,12 @@
 // model and signs off functional equivalence plus the achieved initiation
 // interval. The reproduction's analog combines its two validation engines:
 //
-//   * functional — the full KPN accelerator vs the golden CPU reference,
-//     expected bit-exact;
+//   * functional — the full KPN accelerator vs the oracle of the plan's
+//     datapath (nn::QuantizedEngine: the golden CPU reference on float32,
+//     the fixed-point engine on fixed16/fixed8), expected bit-exact;
 //   * cycle-level — every feature PE's memory subsystem through the
 //     element-granularity simulator, expected stall-free with the planned
 //     FIFO capacities.
-//
-// Used by tests and available to users through `condor validate`.
 #pragma once
 
 #include <string>
@@ -31,7 +30,7 @@ struct CosimPeReport {
 };
 
 struct CosimReport {
-  bool functional_pass = false;  ///< bit-exact vs the golden reference
+  bool functional_pass = false;  ///< bit-exact vs the datapath's oracle
   float max_abs_diff = 0.0F;
   std::size_t images = 0;
   std::vector<CosimPeReport> pes;  ///< feature PEs only

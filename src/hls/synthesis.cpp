@@ -48,7 +48,7 @@ Result<SynthesisReport> synthesize(const hw::AcceleratorPlan& plan,
     ModuleReport module;
     module.module = plan.pes[p].name;
     module.interval_cycles = perf.pes[p].interval();
-    module.latency_cycles = perf.pes[p].interval() + perf.pes[p].fill_latency;
+    module.latency_cycles = perf.pes[p].service_cycles();
     module.estimated_clock_mhz = hw::pe_fmax_mhz(plan, p, options.timing);
     module.resources = hw::pe_cost(plan, p, options.cost);
     report.modules.push_back(std::move(module));

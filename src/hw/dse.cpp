@@ -45,7 +45,7 @@ Result<DsePoint> evaluate(HwNetwork network, const SharedTopology& topology,
 std::uint64_t total_interval(const DsePoint& point) {
   std::uint64_t total = 0;
   for (const PeTiming& pe : point.performance.pes) {
-    total += pe.interval() + pe.fill_latency;
+    total += pe.service_cycles();
   }
   return total;
 }

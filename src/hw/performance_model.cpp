@@ -13,21 +13,6 @@ std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
 
 }  // namespace
 
-std::uint64_t PerformanceEstimate::batch_cycles(std::uint64_t batch) const noexcept {
-  if (batch == 0) {
-    return 0;
-  }
-  return image_latency + (batch - 1) * bottleneck_interval;
-}
-
-double PerformanceEstimate::mean_seconds_per_image(std::uint64_t batch) const noexcept {
-  if (batch == 0 || frequency_mhz <= 0.0) {
-    return 0.0;
-  }
-  const double cycles = static_cast<double>(batch_cycles(batch));
-  return cycles / (frequency_mhz * 1e6) / static_cast<double>(batch);
-}
-
 double PerformanceEstimate::images_per_second() const noexcept {
   if (bottleneck_interval == 0) {
     return 0.0;
@@ -183,13 +168,12 @@ Result<PerformanceEstimate> estimate_performance(const AcceleratorPlan& plan,
         ddr_bytes_per_cycle);
 
     estimate.image_latency +=
-        timing.interval() + timing.fill_latency + timing.weight_load_cycles;
+        timing.service_cycles() + timing.weight_load_cycles;
     // Steady-state interval includes the fill: the sliding window drains
     // and refills between consecutive images, so a PE cannot accept a new
-    // image every `interval` cycles alone. This matches the event-driven
-    // pipeline simulation's per-stage service time.
-    estimate.bottleneck_interval = std::max(
-        estimate.bottleneck_interval, timing.interval() + timing.fill_latency);
+    // image every `interval` cycles alone.
+    estimate.bottleneck_interval =
+        std::max(estimate.bottleneck_interval, timing.service_cycles());
     estimate.pes.push_back(std::move(timing));
   }
 

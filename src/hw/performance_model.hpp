@@ -1,15 +1,14 @@
 // Analytical performance model of the dataflow accelerator.
 //
 // Models each PE as a pipelined stage with a per-image *interval* (cycles
-// between accepting consecutive images in steady state) and a *latency*
-// (fill time for the first image). The high-level pipeline of PEs then
-// yields, for a batch of B images:
-//
-//     total_cycles(B) = fill_latency + (B - 1) * bottleneck_interval
-//
-// which produces the hyperbolically decreasing mean-time-per-image curve of
-// paper Figure 5, converging once B exceeds roughly the number of pipeline
-// stages. Steady-state GFLOPS = flops_per_image * f / bottleneck_interval.
+// of work per image in steady state) and a window *fill* latency. A PE
+// drains and refills its sliding window between consecutive images, so it
+// accepts a new image every interval + fill cycles: its service time
+// (PeTiming::service_cycles). Steady-state GFLOPS = flops_per_image * f /
+// bottleneck_interval, where the bottleneck is the slowest service time or
+// the datamover's input stream, whichever is longer. The batch timing of
+// Figure 5 and Table 1 is sim::simulate_batch's closed form over the same
+// service times.
 //
 // Compute intervals assume II=1 pipelined loops over output points with the
 // window fully unrolled (the memory subsystem supplies all window elements
@@ -46,20 +45,21 @@ struct PeTiming {
   [[nodiscard]] std::uint64_t interval() const noexcept {
     return std::max(compute_interval, memory_interval);
   }
+  /// Cycles between accepting consecutive images: the interval plus the
+  /// window drain and refill.
+  [[nodiscard]] std::uint64_t service_cycles() const noexcept {
+    return interval() + fill_latency;
+  }
 };
 
 /// Whole-accelerator performance estimate at a given clock.
 struct PerformanceEstimate {
   double frequency_mhz = 0.0;
   std::vector<PeTiming> pes;
-  std::uint64_t bottleneck_interval = 0;  ///< max PE interval (cycles)
+  std::uint64_t bottleneck_interval = 0;  ///< max service time / input stream
   std::uint64_t image_latency = 0;        ///< first-image latency (cycles)
   std::uint64_t flops_per_image = 0;
 
-  /// Total cycles to process a batch of `batch` images.
-  [[nodiscard]] std::uint64_t batch_cycles(std::uint64_t batch) const noexcept;
-  /// Mean seconds per image for a batch (Figure 5's y-axis).
-  [[nodiscard]] double mean_seconds_per_image(std::uint64_t batch) const noexcept;
   /// Steady-state throughput.
   [[nodiscard]] double images_per_second() const noexcept;
   [[nodiscard]] double gflops() const noexcept;

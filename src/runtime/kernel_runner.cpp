@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "hw/hw_ir.hpp"
-#include "sim/accel_sim.hpp"
 
 namespace condor::runtime {
 
@@ -18,6 +17,11 @@ Result<LoadedKernel> LoadedKernel::from_xclbin(const Xclbin& xclbin) {
                           hw::plan_accelerator(network));
   CONDOR_ASSIGN_OR_RETURN(kernel.synthesis_, hls::synthesize(plan));
   kernel.clock_mhz_ = kernel.synthesis_.achieved_clock_mhz;
+  CONDOR_ASSIGN_OR_RETURN(
+      hw::PerformanceEstimate perf,
+      hw::estimate_performance(plan, kernel.synthesis_.resources,
+                               kernel.clock_mhz_));
+  kernel.timing_ = sim::build_accelerator_sim(perf);
   kernel.plan_ = std::make_shared<const hw::AcceleratorPlan>(std::move(plan));
   return kernel;
 }
@@ -66,14 +70,10 @@ Result<std::vector<Tensor>> LoadedKernel::run(std::span<const Tensor> inputs,
                           pool_->run_batch(inputs));
   const auto wall_end = std::chrono::steady_clock::now();
 
-  // Device time from the cycle-approximate pipeline simulation. With N
-  // instances the replicas run concurrently, so the batch's device time is
-  // the slowest replica's time over the images it actually executed (the
-  // dynamic sharding census), not the sum.
-  CONDOR_ASSIGN_OR_RETURN(
-      hw::PerformanceEstimate perf,
-      hw::estimate_performance(*plan_, synthesis_.resources, clock_mhz_));
-  const sim::AcceleratorSim accel_sim = sim::build_accelerator_sim(perf);
+  // Device time from the pipeline's batch timing. With N instances the
+  // replicas run concurrently, so the batch's device time is the slowest
+  // replica's time over the images it actually executed (the dynamic
+  // sharding census), not the sum.
   std::uint64_t max_cycles = 0;
   bool simulated = false;
   for (const std::size_t images : pool_->last_pool_stats().images_per_instance) {
@@ -81,13 +81,13 @@ Result<std::vector<Tensor>> LoadedKernel::run(std::span<const Tensor> inputs,
       continue;
     }
     CONDOR_ASSIGN_OR_RETURN(sim::BatchPoint point,
-                            sim::simulate_batch(accel_sim, images));
+                            sim::simulate_batch(timing_, images));
     max_cycles = std::max<std::uint64_t>(max_cycles, point.total_cycles);
     simulated = true;
   }
   if (!simulated) {
     CONDOR_ASSIGN_OR_RETURN(sim::BatchPoint point,
-                            sim::simulate_batch(accel_sim, inputs.size()));
+                            sim::simulate_batch(timing_, inputs.size()));
     max_cycles = point.total_cycles;
   }
 

@@ -3,17 +3,18 @@
 // Reconstructs the accelerator plan from the xclbin's network.json section,
 // binds runtime-supplied weights (the external weight file loaded into a
 // device buffer), and executes batches through the functional dataflow
-// engine while reporting *device time* from the cycle-approximate pipeline
-// simulation at the achieved kernel clock. This is the piece that stands in
-// for the physical FPGA in every deployment path (on-premise and F1).
+// engine while reporting *device time* from the batch timing of the PE
+// pipeline (sim::simulate_batch) at the achieved kernel clock. This is the
+// piece that stands in for the physical FPGA in every deployment path
+// (on-premise and F1).
 //
 // A kernel can be replicated: set_instances(N) stands in for programming N
 // compute units (or N F1 slots with the same AFI) behind one kernel handle.
 // Batches are sharded dynamically across the replicas by a
 // dataflow::ExecutorPool — outputs stay bit-exact and in input order at any
 // instance count — and the reported device time is the *maximum* of the
-// per-replica pipeline simulations, i.e. the wall time of N concurrent
-// devices, not their sum.
+// per-replica batch times, i.e. the wall time of N concurrent devices, not
+// their sum.
 #pragma once
 
 #include <memory>
@@ -26,6 +27,7 @@
 #include "hls/synthesis.hpp"
 #include "nn/weights.hpp"
 #include "runtime/xclbin.hpp"
+#include "sim/accel_sim.hpp"
 #include "tensor/tensor.hpp"
 
 namespace condor::runtime {
@@ -89,6 +91,8 @@ class LoadedKernel {
   std::shared_ptr<const nn::WeightStore> weights_;
   hls::SynthesisReport synthesis_;
   double clock_mhz_ = 0.0;
+  /// The plan's pipeline stages at clock_mhz_; fixed once the plan is.
+  sim::AcceleratorSim timing_;
   std::size_t instances_ = 1;
   std::unique_ptr<dataflow::ExecutorPool> pool_;
   /// Serializes run() across command-queue workers. Heap-held so the

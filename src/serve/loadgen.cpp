@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -23,34 +22,17 @@ double uniform_unit(Rng& rng) {
 }
 
 /// Device-time service model: a batch of `images` shards across the pool's
-/// instances, so its service time is the slowest instance's pipeline
-/// simulation over ceil(images / instances) images — the same aggregation
-/// LoadedKernel::run reports for a sharded kernel invocation.
-class ServiceModel {
- public:
-  ServiceModel(const sim::AcceleratorSim& accel, std::size_t instances)
-      : accel_(accel), instances_(std::max<std::size_t>(1, instances)) {}
-
-  Result<double> seconds(std::size_t images) {
-    const std::size_t per_instance =
-        (images + instances_ - 1) / instances_;
-    const auto cached = cache_.find(per_instance);
-    if (cached != cache_.end()) {
-      return cached->second;
-    }
-    CONDOR_ASSIGN_OR_RETURN(sim::BatchPoint point,
-                            sim::simulate_batch(accel_, per_instance));
-    const double seconds = static_cast<double>(point.total_cycles) /
-                           (accel_.frequency_mhz * 1e6);
-    cache_.emplace(per_instance, seconds);
-    return seconds;
-  }
-
- private:
-  const sim::AcceleratorSim& accel_;
-  std::size_t instances_;
-  std::map<std::size_t, double> cache_;
-};
+/// instances, so its service time is the slowest instance's batch time over
+/// ceil(images / instances) images — the same aggregation LoadedKernel::run
+/// reports for a sharded kernel invocation.
+Result<double> service_seconds(const sim::AcceleratorSim& accel,
+                               std::size_t instances, std::size_t images) {
+  instances = std::max<std::size_t>(1, instances);
+  CONDOR_ASSIGN_OR_RETURN(
+      sim::BatchPoint point,
+      sim::simulate_batch(accel, (images + instances - 1) / instances));
+  return static_cast<double>(point.total_cycles) / (accel.frequency_mhz * 1e6);
+}
 
 bool byte_equal(const Tensor& a, const Tensor& b) {
   return a.size() == b.size() &&
@@ -99,8 +81,8 @@ Result<LoadGenReport> run_open_loop(dataflow::ExecutorPool& pool,
   if (options.requests == 0) {
     return invalid_input("load generator needs at least one request");
   }
-  ServiceModel service(accel, pool.instances());
-  CONDOR_ASSIGN_OR_RETURN(const double serial_service, service.seconds(1));
+  CONDOR_ASSIGN_OR_RETURN(const double serial_service,
+                          service_seconds(accel, pool.instances(), 1));
 
   LoadGenReport report;
   report.requests = options.requests;
@@ -175,8 +157,9 @@ Result<LoadGenReport> run_open_loop(dataflow::ExecutorPool& pool,
         }
         CONDOR_ASSIGN_OR_RETURN(std::vector<Tensor> outputs,
                                 pool.run_batch(batch_inputs));
-        CONDOR_ASSIGN_OR_RETURN(const double batch_service,
-                                service.seconds(batch->requests.size()));
+        CONDOR_ASSIGN_OR_RETURN(
+            const double batch_service,
+            service_seconds(accel, pool.instances(), batch->requests.size()));
         report.max_batch_service_seconds =
             std::max(report.max_batch_service_seconds, batch_service);
         const double completion = now + batch_service;

@@ -15,9 +15,9 @@
 // Timing runs in the device-time domain: every dispatched batch executes
 // functionally through the real ExecutorPool (so outputs are real and the
 // demux is checked byte-for-byte against a direct run_batch), while its
-// service time comes from the same cycle-approximate pipeline simulation
-// LoadedKernel reports — max over instances of simulate(ceil(n/instances)),
-// i.e. the wall time of the concurrent slots. Arrivals, queueing and
+// service time comes from the same batch timing LoadedKernel reports —
+// sim::simulate_batch over ceil(n/instances) images, i.e. the wall time of
+// the concurrent slots. Arrivals, queueing and
 // dispatch then advance on that virtual clock, which makes every latency
 // figure deterministic for a given seed and independent of the simulation
 // host — the same reason multi_slot_scaling reports device-side img/s.
@@ -89,7 +89,7 @@ struct LoadGenReport {
 };
 
 /// Builds the device-time service model for `plan` (simulated synthesis +
-/// analytical per-PE timing + pipeline simulation at the achieved clock).
+/// analytical per-PE service times at the achieved clock).
 Result<sim::AcceleratorSim> make_service_model(const hw::AcceleratorPlan& plan);
 
 /// Runs the open-loop experiment. `pool` supplies both the functional

@@ -1,5 +1,7 @@
 #include "sim/accel_sim.hpp"
 
+#include <algorithm>
+
 namespace condor::sim {
 
 AcceleratorSim build_accelerator_sim(const hw::PerformanceEstimate& estimate) {
@@ -8,22 +10,32 @@ AcceleratorSim build_accelerator_sim(const hw::PerformanceEstimate& estimate) {
   sim.flops_per_image = estimate.flops_per_image;
   sim.stages.reserve(estimate.pes.size());
   for (const hw::PeTiming& pe : estimate.pes) {
-    StageSpec stage;
-    stage.name = pe.name;
-    stage.service_cycles = pe.interval() + pe.fill_latency;
-    stage.buffer_images = 1;
-    sim.stages.push_back(std::move(stage));
+    sim.stages.push_back(StageSpec{pe.name, pe.service_cycles()});
   }
   return sim;
 }
 
 Result<BatchPoint> simulate_batch(const AcceleratorSim& sim, std::size_t batch) {
-  CONDOR_ASSIGN_OR_RETURN(PipelineRun run, simulate_pipeline(sim.stages, batch));
+  if (sim.stages.empty()) {
+    return invalid_input("pipeline must have at least one stage");
+  }
+  if (batch == 0) {
+    return invalid_input("batch must be positive");
+  }
+  Cycle latency = 0;  // the first image's: one pass through every stage
+  Cycle bottleneck = 0;
+  for (const StageSpec& stage : sim.stages) {
+    if (stage.service_cycles == 0) {
+      return invalid_input("stage '" + stage.name + "' has zero service time");
+    }
+    latency += stage.service_cycles;
+    bottleneck = std::max(bottleneck, stage.service_cycles);
+  }
   BatchPoint point;
   point.batch = batch;
-  point.total_cycles = run.total_cycles;
+  point.total_cycles = latency + (batch - 1) * bottleneck;
   const double seconds =
-      static_cast<double>(run.total_cycles) / (sim.frequency_mhz * 1e6);
+      static_cast<double>(point.total_cycles) / (sim.frequency_mhz * 1e6);
   point.mean_ms_per_image = seconds * 1e3 / static_cast<double>(batch);
   point.gflops = static_cast<double>(sim.flops_per_image) *
                  static_cast<double>(batch) / seconds / 1e9;

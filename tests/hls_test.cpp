@@ -179,25 +179,32 @@ TEST(Synthesis, TimingMetWhenTargetModest) {
 }
 
 TEST(Cosim, Tc1PassesFunctionalAndCycleLevel) {
-  const auto plan = hw::plan_accelerator(
-                        hw::with_default_annotations(nn::make_tc1()))
-                        .value();
-  auto weights = nn::initialize_weights(nn::make_tc1(), 17);
-  ASSERT_TRUE(weights.is_ok());
-  auto report = cosimulate(plan, weights.value(), /*batch=*/2);
-  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
-  EXPECT_TRUE(report.value().functional_pass);
-  EXPECT_EQ(report.value().max_abs_diff, 0.0F);
-  // TC1's four feature PEs all stall-free with planned FIFO capacities.
-  EXPECT_EQ(report.value().pes.size(), 4u);
-  for (const CosimPeReport& pe : report.value().pes) {
-    EXPECT_TRUE(pe.stall_free) << pe.name;
-    EXPECT_GT(pe.cycles, 0u);
+  // Every datapath checks against its own oracle: the float reference
+  // would read a fixed-point plan's rounding as a mismatch.
+  for (const nn::DataType type : {nn::DataType::kFloat32,
+                                  nn::DataType::kFixed16,
+                                  nn::DataType::kFixed8}) {
+    SCOPED_TRACE(std::string(nn::to_string(type)));
+    hw::HwNetwork net = hw::with_default_annotations(nn::make_tc1());
+    net.hw.data_type = type;
+    const auto plan = hw::plan_accelerator(net).value();
+    auto weights = nn::initialize_weights(nn::make_tc1(), 17);
+    ASSERT_TRUE(weights.is_ok());
+    auto report = cosimulate(plan, weights.value(), /*batch=*/2);
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_TRUE(report.value().functional_pass);
+    EXPECT_EQ(report.value().max_abs_diff, 0.0F);
+    // TC1's four feature PEs all stall-free with planned FIFO capacities.
+    EXPECT_EQ(report.value().pes.size(), 4u);
+    for (const CosimPeReport& pe : report.value().pes) {
+      EXPECT_TRUE(pe.stall_free) << pe.name;
+      EXPECT_GT(pe.cycles, 0u);
+    }
+    EXPECT_TRUE(report.value().pass());
+    const std::string text = report.value().to_string();
+    EXPECT_NE(text.find("co-simulation"), std::string::npos);
+    EXPECT_NE(text.find("PASS"), std::string::npos);
   }
-  EXPECT_TRUE(report.value().pass());
-  const std::string text = report.value().to_string();
-  EXPECT_NE(text.find("co-simulation"), std::string::npos);
-  EXPECT_NE(text.find("PASS"), std::string::npos);
 }
 
 TEST(Cosim, MismatchedWeightsRejected) {

@@ -153,22 +153,11 @@ TEST(PerformanceModel, ParallelismDividesInterval) {
   EXPECT_EQ(perf.value().pes[2].compute_interval, 6400ull);
 }
 
-TEST(PerformanceModel, BatchCyclesFormula) {
+TEST(PerformanceModel, SteadyStateThroughputFormula) {
   PerformanceEstimate estimate;
   estimate.frequency_mhz = 100.0;
   estimate.bottleneck_interval = 1000;
-  estimate.image_latency = 5000;
   estimate.flops_per_image = 1'000'000;
-  EXPECT_EQ(estimate.batch_cycles(1), 5000ull);
-  EXPECT_EQ(estimate.batch_cycles(10), 5000ull + 9000ull);
-  // Mean per image decreases monotonically toward the bottleneck.
-  double last = 1e300;
-  for (std::uint64_t batch : {1, 2, 4, 8, 64, 1024}) {
-    const double mean = estimate.mean_seconds_per_image(batch);
-    EXPECT_LT(mean, last);
-    last = mean;
-  }
-  EXPECT_NEAR(last, 1000.0 / 100e6, 1e-7);
   EXPECT_NEAR(estimate.images_per_second(), 100e3, 1.0);
   EXPECT_NEAR(estimate.gflops(), 100.0, 0.01);
 }
@@ -180,6 +169,8 @@ TEST(PerformanceModel, WindowFillLatency) {
   ASSERT_TRUE(perf.is_ok());
   // conv1: (5-1)*28 + 5 + module depth 12 = 129.
   EXPECT_EQ(perf.value().pes[0].fill_latency, 129ull);
+  EXPECT_EQ(perf.value().pes[0].service_cycles(),
+            perf.value().pes[0].interval() + 129ull);
 }
 
 TEST(PerformanceModel, VggSpillsAddDdrTraffic) {

@@ -1,108 +1,81 @@
-// Tests for the discrete-event pipeline simulator and the accelerator-level
-// timing wrapper (the machinery behind Figure 5).
+// Tests for the batch timing of the PE pipeline (the closed form behind
+// Figure 5) and the accelerator-level wrapper around it.
 #include <gtest/gtest.h>
 
 #include "hw/dse.hpp"
 #include "nn/models.hpp"
 #include "sim/accel_sim.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/pipeline.hpp"
 
 namespace condor::sim {
 namespace {
 
-TEST(EventQueue, OrdersByTimeThenInsertion) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(10, [&] { order.push_back(2); });
-  queue.schedule(5, [&] { order.push_back(1); });
-  queue.schedule(10, [&] { order.push_back(3); });  // same time, later insert
-  const Cycle end = queue.run();
-  EXPECT_EQ(end, 10u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+/// A pipeline of `stages` at 100 MHz, 1 MFLOP per image.
+AcceleratorSim pipeline(std::vector<StageSpec> stages) {
+  AcceleratorSim sim;
+  sim.stages = std::move(stages);
+  sim.frequency_mhz = 100.0;
+  sim.flops_per_image = 1'000'000;
+  return sim;
 }
 
-TEST(EventQueue, ScheduleInIsRelative) {
-  EventQueue queue;
-  Cycle seen = 0;
-  queue.schedule(100, [&] {
-    queue.schedule_in(50, [&] { seen = queue.now(); });
-  });
-  queue.run();
-  EXPECT_EQ(seen, 150u);
+Cycle total_cycles(const AcceleratorSim& sim, std::size_t batch) {
+  auto point = simulate_batch(sim, batch);
+  EXPECT_TRUE(point.is_ok()) << point.status().to_string();
+  return point.is_ok() ? point.value().total_cycles : 0;
 }
 
 TEST(Pipeline, SingleStageIsSequential) {
-  auto run = simulate_pipeline({StageSpec{"s", 100, 1}}, 10);
-  ASSERT_TRUE(run.is_ok());
-  EXPECT_EQ(run.value().total_cycles, 1000u);
-  EXPECT_EQ(run.value().image_completion.size(), 10u);
-  EXPECT_EQ(run.value().stages[0].images, 10u);
-  EXPECT_EQ(run.value().stages[0].busy_cycles, 1000u);
+  EXPECT_EQ(total_cycles(pipeline({{"s", 100}}), 10), 1000u);
 }
 
 TEST(Pipeline, SteadyStateMatchesBottleneck) {
   // Three stages, bottleneck 100: total(B) -> fill + (B-1)*100.
-  const std::vector<StageSpec> stages = {
-      {"a", 30, 1}, {"b", 100, 1}, {"c", 20, 1}};
-  auto small = simulate_pipeline(stages, 8);
-  auto large = simulate_pipeline(stages, 108);
-  ASSERT_TRUE(small.is_ok());
-  ASSERT_TRUE(large.is_ok());
+  const AcceleratorSim sim = pipeline({{"a", 30}, {"b", 100}, {"c", 20}});
   const double marginal =
-      static_cast<double>(large.value().total_cycles - small.value().total_cycles) /
+      static_cast<double>(total_cycles(sim, 108) - total_cycles(sim, 8)) /
       100.0;
   EXPECT_NEAR(marginal, 100.0, 1.0);
 }
 
 TEST(Pipeline, MeanPerImageDecreasesMonotonically) {
-  const std::vector<StageSpec> stages = {
-      {"a", 50, 1}, {"b", 80, 1}, {"c", 80, 1}, {"d", 40, 1}};
+  const AcceleratorSim sim =
+      pipeline({{"a", 50}, {"b", 80}, {"c", 80}, {"d", 40}});
   double last = 1e300;
   for (const std::size_t batch : {1, 2, 4, 8, 16, 32, 64}) {
-    auto run = simulate_pipeline(stages, batch);
-    ASSERT_TRUE(run.is_ok());
-    const double mean = run.value().mean_cycles_per_image();
+    const double mean = static_cast<double>(total_cycles(sim, batch)) /
+                        static_cast<double>(batch);
     EXPECT_LE(mean, last) << "batch " << batch;
     last = mean;
   }
-  // Plateau approaches the bottleneck service time (two tied bottleneck
-  // stages in sequence add a small handoff overhead).
+  // Plateau approaches the bottleneck service time: 250 + 63 * 80 cycles.
+  EXPECT_EQ(total_cycles(sim, 64), 5290u);
   EXPECT_NEAR(last, 80.0, 4.0);
 }
 
 TEST(Pipeline, SingleImageLatencyIsSumOfStages) {
-  const std::vector<StageSpec> stages = {{"a", 10, 1}, {"b", 20, 1}, {"c", 30, 1}};
-  auto run = simulate_pipeline(stages, 1);
-  ASSERT_TRUE(run.is_ok());
-  EXPECT_EQ(run.value().total_cycles, 60u);
+  EXPECT_EQ(total_cycles(pipeline({{"a", 10}, {"b", 20}, {"c", 30}}), 1), 60u);
 }
 
-TEST(Pipeline, FastStageBlocksBehindSlowDownstream) {
-  const std::vector<StageSpec> stages = {{"fast", 1, 1}, {"slow", 100, 1}};
-  auto run = simulate_pipeline(stages, 50);
-  ASSERT_TRUE(run.is_ok());
-  // The fast stage spends most of the run blocked, not busy.
-  EXPECT_GT(run.value().stages[0].blocked_cycles,
-            run.value().stages[0].busy_cycles * 10);
-  // The slow stage is busy nearly the whole time.
-  EXPECT_GT(run.value().stages[1].utilization(run.value().total_cycles), 0.95);
+TEST(Pipeline, FastStageCannotRunAheadOfSlowDownstream) {
+  // The slow stage sets the pace: 1 + 100 for the first image, 100 for
+  // each further one.
+  EXPECT_EQ(total_cycles(pipeline({{"fast", 1}, {"slow", 100}}), 50), 5001u);
+}
+
+TEST(Pipeline, BatchPointDerivesTimeAndGflopsFromCycles) {
+  auto point = simulate_batch(pipeline({{"s", 100}}), 10);
+  ASSERT_TRUE(point.is_ok());
+  EXPECT_EQ(point.value().batch, 10u);
+  // 1000 cycles at 100 MHz: 10 us for 10 images of 1 MFLOP each.
+  EXPECT_DOUBLE_EQ(point.value().mean_ms_per_image,
+                   1000.0 / 100e6 * 1e3 / 10.0);
+  EXPECT_DOUBLE_EQ(point.value().gflops, 1e6 * 10.0 / (1000.0 / 100e6) / 1e9);
 }
 
 TEST(Pipeline, RejectsDegenerateInputs) {
-  EXPECT_FALSE(simulate_pipeline({}, 4).is_ok());
-  EXPECT_FALSE(simulate_pipeline({StageSpec{"s", 0, 1}}, 4).is_ok());
-  EXPECT_FALSE(simulate_pipeline({StageSpec{"s", 1, 0}}, 4).is_ok());
-  EXPECT_FALSE(simulate_pipeline({StageSpec{"s", 1, 1}}, 0).is_ok());
-}
-
-TEST(Pipeline, CompletionTimesAreNondecreasing) {
-  const std::vector<StageSpec> stages = {{"a", 7, 1}, {"b", 13, 2}, {"c", 5, 1}};
-  auto run = simulate_pipeline(stages, 20);
-  ASSERT_TRUE(run.is_ok());
-  for (std::size_t i = 1; i < run.value().image_completion.size(); ++i) {
-    EXPECT_GE(run.value().image_completion[i], run.value().image_completion[i - 1]);
-  }
+  EXPECT_FALSE(simulate_batch(pipeline({}), 4).is_ok());
+  EXPECT_FALSE(simulate_batch(pipeline({{"s", 0}}), 4).is_ok());
+  EXPECT_FALSE(simulate_batch(pipeline({{"s", 1}}), 0).is_ok());
 }
 
 // ---- Accelerator-level wrapper ---------------------------------------------
@@ -125,6 +98,22 @@ TEST(AccelSim, Figure5ShapeForTc1) {
   EXPECT_LT((at_layers - plateau) / plateau, 0.30);
 }
 
+TEST(AccelSim, StagesAreThePesServiceTimes) {
+  hw::HwNetwork net = hw::with_default_annotations(nn::make_tc1());
+  auto point = hw::evaluate_design_point(net);
+  ASSERT_TRUE(point.is_ok());
+  const hw::PerformanceEstimate& perf = point.value().performance;
+  const AcceleratorSim accel = build_accelerator_sim(perf);
+  EXPECT_EQ(accel.frequency_mhz, perf.frequency_mhz);
+  EXPECT_EQ(accel.flops_per_image, perf.flops_per_image);
+  ASSERT_EQ(accel.stages.size(), perf.pes.size());
+  for (std::size_t p = 0; p < perf.pes.size(); ++p) {
+    EXPECT_EQ(accel.stages[p].name, perf.pes[p].name);
+    EXPECT_EQ(accel.stages[p].service_cycles,
+              perf.pes[p].interval() + perf.pes[p].fill_latency);
+  }
+}
+
 TEST(AccelSim, SteadyStateMatchesAnalyticalGflops) {
   hw::HwNetwork net = hw::with_default_annotations(nn::make_lenet());
   auto point = hw::evaluate_design_point(net);
@@ -132,7 +121,9 @@ TEST(AccelSim, SteadyStateMatchesAnalyticalGflops) {
   const AcceleratorSim accel = build_accelerator_sim(point.value().performance);
   auto gflops = steady_state_gflops(accel, 512);
   ASSERT_TRUE(gflops.is_ok());
-  // Event simulation and closed-form estimate agree within a few percent.
+  // The 512-image batch and the estimate's steady state agree within a few
+  // percent on LeNet: both divide by the slowest stage's service time, and
+  // 512 images amortize the first image's pass through the other stages.
   EXPECT_NEAR(gflops.value(), point.value().performance.gflops(),
               point.value().performance.gflops() * 0.05);
 }

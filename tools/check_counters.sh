@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-worker counter gate: the scheduler work of `condor validate` must not
-# change unless a change means it to.
+# One-worker counter gate: the scheduler work of `condor validate` and the
+# modeled device numbers must not change unless a change means them to.
 #
 #   tools/check_counters.sh [--update] [path/to/condor]
 #
@@ -8,9 +8,11 @@
 # tiny_resnet and tc1 on the float32, fixed16 and fixed8 datapaths, keeps
 # the deterministic counter lines (the KPN census with its ring size, the
 # scheduler's fires and suspensions, the FIFO writes, the resident weight
-# bytes) and diffs them against the checked-in BENCH_counters.txt. At one worker every counter is a pure
-# function of the plan and the batch. --update rewrites the baseline
-# instead. The binary defaults to build/tools/condor.
+# bytes, the modeled `unroll:` DSPs and GFLOPS), adds the `condor fig5`
+# batch sweep of each model (modeled cycles as mean ms per image) and diffs
+# them against the checked-in BENCH_counters.txt. At one worker every
+# counter is a pure function of the plan and the batch. --update rewrites
+# the baseline instead. The binary defaults to build/tools/condor.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -39,9 +41,18 @@ counters() {
         echo "$out" >&2
         return 1
       fi
-      grep -E '^(KPN|scheduler|FIFO writes|resident weights):' <<<"$out" |
+      grep -E '^(KPN|scheduler|FIFO writes|resident weights|unroll):' <<<"$out" |
         sed "s/^/$model $type: /"
     done
+  done
+  for model in lenet lenet_skip tiny_resnet tc1; do
+    local out
+    # stdout only: stderr carries the planner's log lines.
+    if ! out="$("$condor" fig5 --model "$model" 2>/dev/null)"; then
+      echo "check_counters.sh: fig5 failed on $model" >&2
+      return 1
+    fi
+    sed "s/^/$model fig5: /" <<<"$out"
   done
 }
 
@@ -52,7 +63,7 @@ if [[ "$update" == 1 ]]; then
   exit 0
 fi
 if ! diff -u "$baseline" <(printf '%s\n' "$current"); then
-  echo "check_counters.sh: one-worker counters differ from $baseline" >&2
+  echo "check_counters.sh: counters differ from $baseline" >&2
   exit 1
 fi
 echo "check_counters.sh: counters match $baseline"
